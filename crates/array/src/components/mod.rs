@@ -9,13 +9,13 @@
 //!
 //! Every temperature-dependent component expression lives in exactly one
 //! `*_raw` helper that reads the hoisted per-temperature terms from
-//! [`TempCtx`] plus the candidate's scalar inputs. The AoS oracle path
-//! (`Ctx`-taking public functions, used by [`crate::optimize`] and
-//! `ArrayCharacterization::from_ctx`) and the SoA multi-temperature
-//! kernel (`optimizer::kernel_scores` over `CandidateColumns`) both call
-//! those helpers with bit-identical scalar inputs, which is what makes
-//! the batched characterization byte-identical to the per-point oracle
-//! by construction rather than by coincidence.
+//! [`TempCtx`] plus the candidate's scalar inputs. The per-candidate
+//! `Ctx`-taking functions (used by `ArrayCharacterization::from_ctx`
+//! and the componentwise floors) and the SoA column kernel
+//! (`optimizer::kernel_scores` over `CandidateColumns`) both call those
+//! helpers with bit-identical scalar inputs, which is what makes the
+//! column search byte-identical to characterizing every candidate in
+//! full, by construction rather than by coincidence.
 
 pub mod bitline;
 pub mod decoder;

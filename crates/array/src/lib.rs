@@ -51,7 +51,7 @@ mod stacking;
 pub use characterize::ArrayCharacterization;
 pub use components::Geometry;
 pub use ecc::EccScheme;
-pub use optimizer::{optimize, score_lower_bound, ComponentFloors, Objective};
+pub use optimizer::{ComponentFloors, Objective};
 pub use org_geometry::{geometry_code_epoch, OrgGeometry};
 pub use organization::Organization;
 pub use spec::{ArraySpec, SpecError};

@@ -115,39 +115,6 @@ fn standby_power(ctx: &Ctx<'_>) -> Watts {
     leakage::total(ctx) + refresh
 }
 
-/// A monotone lower bound on [`Objective::score`] for the candidate in
-/// `ctx`, so `lower_bound(ctx, o) <= o.score(&from_ctx(ctx))` always
-/// holds (see `DESIGN.md` § Two-phase characterization kernel for the
-/// soundness argument). The bound is in fact *exact*: it is the
-/// objective's own score, evaluated from only the component models the
-/// objective reads — the read path for EDP/latency/energy, geometry
-/// for area, leakage and refresh for standby power. Each expression
-/// mirrors [`ArrayCharacterization::from_ctx`]'s term order exactly,
-/// so the bound equals the eventual score to the last bit; what makes
-/// it cheap is everything it does *not* run (the write-path, leakage,
-/// and refresh models for the read objectives — roughly a third of a
-/// full characterization, including the temperature-dependent
-/// subthreshold and retention physics).
-fn lower_bound(ctx: &Ctx<'_>, objective: Objective) -> f64 {
-    match objective {
-        // Operand order matches `ArrayCharacterization::read_edp`.
-        Objective::EnergyDelayProduct => read_energy(ctx).get() * read_latency(ctx).get(),
-        Objective::ReadLatency => read_latency(ctx).get(),
-        Objective::ReadEnergy => read_energy(ctx).get(),
-        Objective::Area => ctx.geom.footprint,
-        Objective::StandbyPower => standby_power(ctx).get(),
-    }
-}
-
-/// [`Objective::score`]'s lower bound for one candidate, built from a
-/// fresh context. Exposed so the prune's soundness invariant
-/// (`score_lower_bound <= score`) is testable from outside the crate
-/// (the bound is exact, so equality is what tests observe).
-#[must_use]
-pub fn score_lower_bound(spec: &ArraySpec, org: Organization, objective: Objective) -> f64 {
-    lower_bound(&Ctx::new(spec, org), objective)
-}
-
 /// Componentwise floors over a feasible candidate list at one operating
 /// point: for each physical quantity the application model consumes,
 /// the minimum over *every* candidate organization.
@@ -159,9 +126,8 @@ pub fn score_lower_bound(spec: &ArraySpec, org: Organization, objective: Objecti
 /// order [`crate::ArrayCharacterization`] is built from). The floors
 /// are
 /// therefore sound lower bounds on the chosen array's fields for any
-/// [`Objective`] — the generalization of [`score_lower_bound`] from one
-/// candidate's score to a whole candidate region's field vector, which
-/// is what the design-space search in `coldtall-core` prunes with.
+/// [`Objective`], which is what the design-space search in
+/// `coldtall-core` prunes with.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentFloors {
     /// Minimum read latency over the candidates, in seconds.
@@ -179,8 +145,8 @@ pub struct ComponentFloors {
 }
 
 /// Computes [`ComponentFloors`] over `candidates` at `spec`'s operating
-/// point, sharing one device context across the scan exactly as
-/// [`search`] does.
+/// point, sharing `devices` (built for that operating point) across the
+/// scan exactly as [`search_columns`] does.
 ///
 /// # Panics
 ///
@@ -188,12 +154,12 @@ pub struct ComponentFloors {
 pub(crate) fn component_floors(
     spec: &ArraySpec,
     candidates: &[(Organization, Geometry)],
+    devices: &DeviceCtx,
 ) -> ComponentFloors {
     assert!(
         !candidates.is_empty(),
         "no feasible organization for the given capacity"
     );
-    let devices = DeviceCtx::new(spec);
     let mut floors = ComponentFloors {
         read_latency_s: f64::INFINITY,
         read_energy_j: f64::INFINITY,
@@ -202,7 +168,7 @@ pub(crate) fn component_floors(
         refresh_busy_fraction: f64::INFINITY,
     };
     for &(org, geom) in candidates {
-        let ctx = Ctx::with_parts(spec, org, geom, &devices);
+        let ctx = Ctx::with_parts(spec, org, geom, devices);
         floors.read_latency_s = floors.read_latency_s.min(read_latency(&ctx).get());
         floors.read_energy_j = floors.read_energy_j.min(read_energy(&ctx).get());
         floors.standby_power_w = floors.standby_power_w.min(standby_power(&ctx).get());
@@ -213,180 +179,152 @@ pub(crate) fn component_floors(
     floors
 }
 
-/// Scans `candidates` in order and returns the characterization
-/// minimizing `objective`, pruning candidates whose lower bound already
-/// exceeds the best score seen.
-///
-/// The prune never changes the argmin: a candidate is skipped only when
-/// its (sound) lower bound is *strictly* above the incumbent score, and
-/// the incumbent is replaced only on a *strictly* lower score — exactly
-/// the first-of-equal-minima semantics of `Iterator::min_by` over the
-/// same order, so ties still resolve to the earliest candidate. With
-/// the exact bound only the running minima of the scan (typically 2–4
-/// of the 25 candidates) pay a full characterization; every other
-/// candidate stops after the objective's own component terms.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty (capacity smaller than the smallest
-/// subarray) or an objective score is NaN (the models never produce
-/// one for a valid spec).
-pub(crate) fn search(
-    spec: &ArraySpec,
-    candidates: &[(Organization, Geometry)],
-    objective: Objective,
-) -> ArrayCharacterization {
-    let devices = DeviceCtx::new(spec);
-    let mut best: Option<(f64, ArrayCharacterization)> = None;
-    for &(org, geom) in candidates {
-        let ctx = Ctx::with_parts(spec, org, geom, &devices);
-        if let Some((incumbent, _)) = &best {
-            if lower_bound(&ctx, objective) > *incumbent {
-                continue;
-            }
-        }
-        let array = ArrayCharacterization::from_ctx(&ctx);
-        let score = objective.score(&array);
-        assert!(!score.is_nan(), "objective scores are finite");
-        if best.as_ref().is_none_or(|(incumbent, _)| score < *incumbent) {
-            best = Some((score, array));
-        }
-    }
-    best.expect("no feasible organization for the given capacity")
-        .1
-}
-
 /// The solved candidate list lowered into struct-of-arrays columns: one
-/// contiguous `Vec<f64>` per temperature-invariant scalar a component
-/// `*_raw` helper consumes.
+/// contiguous run of `f64` per temperature-invariant scalar a component
+/// `*_raw` helper consumes, all in a single buffer (one allocation per
+/// solve, not one per column).
 ///
 /// Built once at solve time (phase 1) from the same shared device
 /// constants the `Ctx` path reads, so a column entry is bit-identical
-/// to the scalar the AoS path would derive for that candidate. The
-/// multi-temperature kernel then scans candidates column-wise — the
+/// to the scalar the `Ctx` path would derive for that candidate. The
+/// organization search then scans candidates column-wise — the
 /// per-candidate work is a handful of flops over adjacent memory with
 /// no pointer chasing, which is what makes the inner loop
 /// autovectorizable.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct CandidateColumns {
-    /// Decode depth in stages.
-    pub(crate) levels: Vec<f64>,
-    /// Wordline length in meters.
-    pub(crate) wl_length_m: Vec<f64>,
-    /// Wordline gate load in farads.
-    pub(crate) wl_gate_load_f: Vec<f64>,
-    /// Bitline capacitance in farads.
-    pub(crate) bl_cap_f: Vec<f64>,
-    /// Bitline length in meters.
-    pub(crate) bl_length_m: Vec<f64>,
-    /// Column count.
-    pub(crate) cols: Vec<f64>,
-    /// 2D footprint in square meters.
-    pub(crate) footprint: Vec<f64>,
-    /// H-tree routed path length in meters.
-    pub(crate) htree_path_m: Vec<f64>,
-    /// Live array content area per die in square meters.
-    pub(crate) per_die_content: Vec<f64>,
-    /// Effective leaking periphery width in microns.
-    pub(crate) periph_width_um: Vec<f64>,
-    /// Total rows in the array.
-    pub(crate) rows_total: Vec<f64>,
-    /// Rows served by each per-die refresh engine.
-    pub(crate) rows_per_engine: Vec<f64>,
+    /// Number of lowered candidates (the length of every column).
+    n: usize,
+    /// The columns back to back, in [`Columns`] field order.
+    data: Vec<f64>,
 }
+
+/// A borrowed view of [`CandidateColumns`], one slice per column.
+struct Columns<'a> {
+    /// Decode depth in stages.
+    levels: &'a [f64],
+    /// Wordline length in meters.
+    wl_length_m: &'a [f64],
+    /// Wordline gate load in farads.
+    wl_gate_load_f: &'a [f64],
+    /// Bitline capacitance in farads.
+    bl_cap_f: &'a [f64],
+    /// Bitline length in meters.
+    bl_length_m: &'a [f64],
+    /// Column count.
+    cols: &'a [f64],
+    /// 2D footprint in square meters.
+    footprint: &'a [f64],
+    /// H-tree routed path length in meters.
+    htree_path_m: &'a [f64],
+    /// Live array content area per die in square meters.
+    per_die_content: &'a [f64],
+    /// Effective leaking periphery width in microns.
+    periph_width_um: &'a [f64],
+    /// Total rows in the array.
+    rows_total: &'a [f64],
+    /// Rows served by each per-die refresh engine.
+    rows_per_engine: &'a [f64],
+}
+
+/// Number of columns in a [`CandidateColumns`] buffer.
+const COLUMN_COUNT: usize = 12;
 
 impl CandidateColumns {
     /// Lowers `candidates` into columns, reading the same node-invariant
     /// device constants the `Ctx` path reads (so every entry matches the
-    /// AoS-derived scalar to the last bit).
+    /// `Ctx`-derived scalar to the last bit).
     pub(crate) fn lower(
         spec: &ArraySpec,
         candidates: &[(Organization, Geometry)],
         devices: &NodeDevices,
     ) -> Self {
         let n = candidates.len();
-        let mut c = Self {
-            levels: Vec::with_capacity(n),
-            wl_length_m: Vec::with_capacity(n),
-            wl_gate_load_f: Vec::with_capacity(n),
-            bl_cap_f: Vec::with_capacity(n),
-            bl_length_m: Vec::with_capacity(n),
-            cols: Vec::with_capacity(n),
-            footprint: Vec::with_capacity(n),
-            htree_path_m: Vec::with_capacity(n),
-            per_die_content: Vec::with_capacity(n),
-            periph_width_um: Vec::with_capacity(n),
-            rows_total: Vec::with_capacity(n),
-            rows_per_engine: Vec::with_capacity(n),
-        };
+        let mut data = vec![0.0; COLUMN_COUNT * n];
         let gate_cap_min = devices.gate_cap_min.get();
         let c_per_m = devices.local_wire.capacitance_per_m();
         let dies = f64::from(spec.dies());
-        for &(org, geom) in candidates {
+        for (i, &(org, geom)) in candidates.iter().enumerate() {
             let rows = f64::from(org.rows());
             let cols = f64::from(org.cols());
-            c.levels
-                .push(decoder::levels_f(rows, geom.subarrays_per_die as f64));
-            c.wl_length_m.push(wordline::length_m(cols, geom.cell_width));
-            c.wl_gate_load_f.push(wordline::gate_load_f(gate_cap_min, cols));
-            c.bl_cap_f.push(bitline::capacitance_f(
-                devices.junction_half,
-                c_per_m,
-                rows,
-                geom.cell_height,
-            ));
-            c.bl_length_m.push(bitline::length_m(rows, geom.cell_height));
-            c.cols.push(cols);
-            c.footprint.push(geom.footprint);
-            c.htree_path_m.push(htree::path_m(geom.footprint));
-            c.per_die_content.push(geom.per_die_content);
-            c.periph_width_um
-                .push(leakage::width_um_f(geom.periph_area));
             let (rows_total, rows_per_engine) =
                 refresh::rows_budget_f(geom.subarrays_total as f64, rows, dies);
-            c.rows_total.push(rows_total);
-            c.rows_per_engine.push(rows_per_engine);
+            // One entry per column, in `Columns` field order.
+            let entries: [f64; COLUMN_COUNT] = [
+                decoder::levels_f(rows, geom.subarrays_per_die as f64),
+                wordline::length_m(cols, geom.cell_width),
+                wordline::gate_load_f(gate_cap_min, cols),
+                bitline::capacitance_f(devices.junction_half, c_per_m, rows, geom.cell_height),
+                bitline::length_m(rows, geom.cell_height),
+                cols,
+                geom.footprint,
+                htree::path_m(geom.footprint),
+                geom.per_die_content,
+                leakage::width_um_f(geom.periph_area),
+                rows_total,
+                rows_per_engine,
+            ];
+            for (column, value) in entries.into_iter().enumerate() {
+                data[column * n + i] = value;
+            }
         }
-        c
+        Self { n, data }
     }
 
     /// Number of lowered candidates.
     pub(crate) fn len(&self) -> usize {
-        self.levels.len()
+        self.n
     }
 
-    /// Asserts every column holds exactly [`CandidateColumns::len`]
-    /// entries — a structural invariant of [`CandidateColumns::lower`],
-    /// surfaced as one up-front check so the per-candidate scans in
-    /// [`kernel_scores`] index without per-element bounds checks.
+    /// The columns as slices. Every slice holds exactly
+    /// [`CandidateColumns::len`] entries; the up-front assertion states
+    /// that once so the per-candidate scans in [`kernel_scores`] index
+    /// without per-element bounds checks.
     #[inline]
-    pub(crate) fn assert_coherent(&self) {
-        let n = self.levels.len();
+    fn view(&self) -> Columns<'_> {
+        let n = self.n;
+        let column = |k: usize| &self.data[k * n..(k + 1) * n];
+        let view = Columns {
+            levels: column(0),
+            wl_length_m: column(1),
+            wl_gate_load_f: column(2),
+            bl_cap_f: column(3),
+            bl_length_m: column(4),
+            cols: column(5),
+            footprint: column(6),
+            htree_path_m: column(7),
+            per_die_content: column(8),
+            periph_width_um: column(9),
+            rows_total: column(10),
+            rows_per_engine: column(11),
+        };
         assert!(
-            self.wl_length_m.len() == n
-                && self.wl_gate_load_f.len() == n
-                && self.bl_cap_f.len() == n
-                && self.bl_length_m.len() == n
-                && self.cols.len() == n
-                && self.footprint.len() == n
-                && self.htree_path_m.len() == n
-                && self.per_die_content.len() == n
-                && self.periph_width_um.len() == n
-                && self.rows_total.len() == n
-                && self.rows_per_engine.len() == n,
-            "candidate columns lowered with unequal lengths"
+            view.levels.len() == n
+                && view.wl_length_m.len() == n
+                && view.wl_gate_load_f.len() == n
+                && view.bl_cap_f.len() == n
+                && view.bl_length_m.len() == n
+                && view.cols.len() == n
+                && view.footprint.len() == n
+                && view.htree_path_m.len() == n
+                && view.per_die_content.len() == n
+                && view.periph_width_um.len() == n
+                && view.rows_total.len() == n
+                && view.rows_per_engine.len() == n,
+            "candidate columns sliced with unequal lengths"
         );
+        view
     }
 }
 
 /// Read latency of candidate `i` from the columns — term-for-term the
-/// sum [`read_latency`] computes on the AoS path.
+/// sum [`read_latency`] computes from a `Ctx`.
 ///
 /// `#[inline(always)]` so [`kernel_scores`]'s per-objective loops
 /// flatten into straight-line candidate-independent flops the
 /// auto-vectorizer can run lane-per-candidate.
 #[inline(always)]
-fn read_latency_cols(tc: &TempCtx, c: &CandidateColumns, i: usize) -> Seconds {
+fn read_latency_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Seconds {
     decoder::delay_raw(tc, c.levels[i])
         + wordline::delay_raw(tc, c.wl_length_m[i], c.wl_gate_load_f[i])
         + bitline::read_delay_raw(tc, c.bl_cap_f[i], c.bl_length_m[i])
@@ -396,9 +334,9 @@ fn read_latency_cols(tc: &TempCtx, c: &CandidateColumns, i: usize) -> Seconds {
 }
 
 /// Read energy of candidate `i` from the columns — term-for-term the
-/// sum [`read_energy`] computes on the AoS path.
+/// sum [`read_energy`] computes from a `Ctx`.
 #[inline(always)]
-fn read_energy_cols(tc: &TempCtx, c: &CandidateColumns, i: usize) -> Joules {
+fn read_energy_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Joules {
     decoder::energy_raw(tc, c.levels[i])
         + wordline::energy_raw(tc, c.wl_length_m[i], c.wl_gate_load_f[i])
         + htree::energy_raw(tc, c.htree_path_m[i], c.per_die_content[i])
@@ -408,9 +346,9 @@ fn read_energy_cols(tc: &TempCtx, c: &CandidateColumns, i: usize) -> Joules {
 }
 
 /// Standby power of candidate `i` from the columns — assembled as
-/// [`standby_power`] assembles it on the AoS path.
+/// [`standby_power`] assembles it from a `Ctx`.
 #[inline(always)]
-fn standby_cols(tc: &TempCtx, c: &CandidateColumns, i: usize) -> Watts {
+fn standby_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Watts {
     let refresh = refresh::profile_raw(
         tc,
         c.levels[i],
@@ -440,7 +378,7 @@ pub(crate) fn kernel_scores(
     scores: &mut Vec<f64>,
 ) {
     let n = columns.len();
-    columns.assert_coherent();
+    let columns = &columns.view();
     scores.clear();
     scores.resize(n, 0.0);
     let out = &mut scores[..n];
@@ -462,7 +400,7 @@ pub(crate) fn kernel_scores(
                 *slot = read_energy_cols(tc, columns, i).get();
             }
         }
-        Objective::Area => out.copy_from_slice(&columns.footprint),
+        Objective::Area => out.copy_from_slice(columns.footprint),
         Objective::StandbyPower => {
             for (i, slot) in out.iter_mut().enumerate() {
                 *slot = standby_cols(tc, columns, i).get();
@@ -471,16 +409,15 @@ pub(crate) fn kernel_scores(
     }
 }
 
-/// Column-wise organization search: scores every candidate through
+/// The organization search: scores every candidate through
 /// [`kernel_scores`], takes the first-wins strict-`<` argmin, and fully
 /// characterizes only the winner.
 ///
-/// Returns exactly the bytes of [`search`] on the same inputs. `search`
-/// prunes with an *exact* lower bound (equal to the score) and replaces
-/// its incumbent only on a strictly lower score, so its result is the
-/// first candidate attaining the minimum score — precisely the argmin
-/// this scan takes — and the winner's characterization is produced by
-/// the same `from_ctx` on an equal context.
+/// Returns exactly the bytes of characterizing every candidate in full
+/// and keeping the first one with the lowest [`Objective::score`]: each
+/// column score equals that candidate's full score to the last bit, and
+/// the winner's characterization comes from the same `from_ctx` on an
+/// equal context.
 ///
 /// `scores` is caller-owned scratch so a temperature stripe reuses one
 /// allocation across every temperature.
@@ -510,24 +447,6 @@ pub(crate) fn search_columns(
     ArrayCharacterization::from_ctx(&Ctx::with_parts(spec, org, geom, devices))
 }
 
-/// Searches every candidate organization and returns the characterization
-/// minimizing `objective`.
-///
-/// Runs the two-phase kernel inline: feasible candidates and their
-/// geometries are derived once, then the pruned sequential scan
-/// evaluates them. Sweeps that revisit one geometry at many
-/// temperatures should hold a [`crate::OrgGeometry`] instead, which
-/// caches phase 1.
-///
-/// # Panics
-///
-/// Panics if no candidate organization fits the spec (capacity smaller
-/// than the smallest subarray).
-#[must_use]
-pub fn optimize(spec: &ArraySpec, objective: Objective) -> ArrayCharacterization {
-    search(spec, &feasible_candidates(spec), objective)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,7 +461,7 @@ mod tests {
     #[test]
     fn edp_choice_is_no_worse_than_any_candidate() {
         let s = spec();
-        let best = optimize(&s, Objective::EnergyDelayProduct);
+        let best = s.characterize(Objective::EnergyDelayProduct);
         for org in Organization::candidates() {
             let other = ArrayCharacterization::evaluate(&s, org);
             assert!(best.read_edp() <= other.read_edp() + 1e-30);
@@ -552,8 +471,8 @@ mod tests {
     #[test]
     fn objectives_pick_their_own_optimum() {
         let s = spec();
-        let fastest = optimize(&s, Objective::ReadLatency);
-        let leanest = optimize(&s, Objective::ReadEnergy);
+        let fastest = s.characterize(Objective::ReadLatency);
+        let leanest = s.characterize(Objective::ReadEnergy);
         assert!(fastest.read_latency <= leanest.read_latency);
         assert!(leanest.read_energy <= fastest.read_energy);
     }
@@ -563,15 +482,15 @@ mod tests {
         let node = ProcessNode::ptm_22nm_hp();
         let pcm = CellModel::tentpole(MemoryTechnology::Pcm, Tentpole::Optimistic, &node);
         let s = ArraySpec::llc_16mib(pcm, &node);
-        let smallest = optimize(&s, Objective::Area);
-        let fastest = optimize(&s, Objective::ReadLatency);
+        let smallest = s.characterize(Objective::Area);
+        let fastest = s.characterize(Objective::ReadLatency);
         assert!(smallest.footprint.get() <= fastest.footprint.get());
     }
 
     #[test]
     fn optimizer_respects_die_count() {
         let s = spec().with_dies(8);
-        let a = optimize(&s, Objective::EnergyDelayProduct);
+        let a = s.characterize(Objective::EnergyDelayProduct);
         assert_eq!(a.dies, 8);
     }
 }

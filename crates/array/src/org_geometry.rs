@@ -8,12 +8,12 @@
 //! subthreshold leakage, mobility) move with temperature. A dense
 //! temperature sweep therefore re-derives the same geometries at every
 //! point for nothing. [`OrgGeometry::solve`] hoists that derivation out
-//! once, and [`OrgGeometry::apply_temperature`] runs only the cheap
+//! once, and [`OrgGeometry::characterize_temps`] runs only the cheap
 //! temperature-dependent pass per point — the same amortization
 //! NVSim/Destiny use to make full design-space enumeration tractable.
 //!
-//! The split is exact, not approximate: `apply_temperature` produces
-//! the bytes of [`crate::optimize`] on the equivalent spec (the golden
+//! The split is exact, not approximate: a stripe entry is the bytes of
+//! [`ArraySpec::characterize`] on the equivalent spec (the golden
 //! suite and the cross-crate batch tests pin this).
 
 use std::sync::OnceLock;
@@ -35,7 +35,7 @@ use crate::spec::ArraySpec;
 ///
 /// Solve once per (cell technology, spec geometry, organization
 /// space); then characterize at any number of operating temperatures
-/// via [`OrgGeometry::apply_temperature`].
+/// via [`OrgGeometry::characterize_temps`].
 ///
 /// # Examples
 ///
@@ -48,18 +48,21 @@ use crate::spec::ArraySpec;
 /// let node = ProcessNode::ptm_22nm_hp();
 /// let spec = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
 /// let geometry = OrgGeometry::solve(&spec);
-/// let cold = geometry.apply_temperature(Kelvin::LN2, Objective::EnergyDelayProduct);
+/// let cold = geometry.characterize_temps(&[Kelvin::LN2], Objective::EnergyDelayProduct);
 /// let direct = spec
 ///     .clone()
 ///     .at_temperature_cryo(Kelvin::LN2)
 ///     .characterize(Objective::EnergyDelayProduct);
-/// assert_eq!(cold, direct);
+/// assert_eq!(cold, [direct]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct OrgGeometry {
     spec: ArraySpec,
     candidates: Vec<(Organization, Geometry)>,
     columns: CandidateColumns,
+    /// The node's device models, built once at solve time and shared by
+    /// every characterization of this geometry.
+    devices: NodeDevices,
 }
 
 impl OrgGeometry {
@@ -99,6 +102,7 @@ impl OrgGeometry {
             spec,
             candidates,
             columns,
+            devices,
         }
     }
 
@@ -122,53 +126,43 @@ impl OrgGeometry {
     }
 
     /// Runs the organization search at the stored spec's own operating
-    /// point (phase 2 without a temperature change).
+    /// point, whatever voltage policy that point carries — the path
+    /// [`ArraySpec::characterize`] takes.
     ///
     /// # Panics
     ///
     /// Panics if the spec admits no feasible organization.
     #[must_use]
     pub fn characterize(&self, objective: Objective) -> ArrayCharacterization {
-        optimizer::search(&self.spec, &self.candidates, objective)
-    }
-
-    /// Phase 2: re-evaluates only the temperature-dependent terms at
-    /// operating temperature `t` under the cryogenic voltage-scaling
-    /// policy ([`ArraySpec::at_temperature_cryo`], the policy every
-    /// sweep in the study applies) and returns the optimal
-    /// characterization.
-    ///
-    /// Bit-identical to characterizing
-    /// `spec.at_temperature_cryo(t)` from scratch, because the
-    /// candidate list and geometries are operating-point-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec admits no feasible organization.
-    #[must_use]
-    pub fn apply_temperature(&self, t: Kelvin, objective: Objective) -> ArrayCharacterization {
-        let spec = self.spec.clone().at_temperature_cryo(t);
-        optimizer::search(&spec, &self.candidates, objective)
+        let dctx = DeviceCtx::with_devices(&self.spec, &self.devices);
+        let mut scores = Vec::with_capacity(self.candidates.len());
+        optimizer::search_columns(
+            &self.spec,
+            &self.candidates,
+            &self.columns,
+            &dctx,
+            objective,
+            &mut scores,
+        )
     }
 
     /// Characterizes a whole temperature stripe in one kernel call: for
-    /// each temperature in `temps`, the optimal characterization under
-    /// `objective` (same voltage-scaling policy as
-    /// [`OrgGeometry::apply_temperature`]).
+    /// each temperature `t` in `temps`, the optimal characterization of
+    /// `spec.at_temperature_cryo(t)` under `objective` (the cryogenic
+    /// voltage-scaling policy every sweep in the study applies).
     ///
     /// The per-temperature device-parameter derivation (Matula wire
     /// resistivity, subthreshold leakage, mobility-driven device speed)
     /// is hoisted out of the candidate loop — computed once per
     /// temperature, never once per candidate × temperature — and the
     /// candidates are scanned column-wise over the solve-time SoA
-    /// columns. One `NodeDevices` build (the exponential-heavy part)
-    /// and one score buffer are shared across the whole stripe.
+    /// columns. The solve-time `NodeDevices` (the exponential-heavy
+    /// part) and one score buffer are shared across the whole stripe.
     ///
-    /// Byte-identical to calling [`OrgGeometry::apply_temperature`] per
-    /// element: both paths evaluate the same single-site `*_raw`
-    /// component formulas on the same scalar inputs, and the column
-    /// argmin reproduces the pruned scan's first-wins selection exactly
-    /// (the cross-shape tests and the golden suite pin this).
+    /// Byte-identical to [`ArraySpec::characterize`] on each
+    /// `spec.at_temperature_cryo(t)`: both run the same column search
+    /// over the same candidates (the cross-shape tests and the golden
+    /// suite pin this).
     ///
     /// # Panics
     ///
@@ -179,12 +173,11 @@ impl OrgGeometry {
         temps: &[Kelvin],
         objective: Objective,
     ) -> Vec<ArrayCharacterization> {
-        let devices = NodeDevices::new(self.spec.node());
         let mut scores = Vec::with_capacity(self.candidates.len());
         let mut out = Vec::with_capacity(temps.len());
         for &t in temps {
             let spec = self.spec.clone().at_temperature_cryo(t);
-            let dctx = DeviceCtx::with_devices(&spec, &devices);
+            let dctx = DeviceCtx::with_devices(&spec, &self.devices);
             out.push(optimizer::search_columns(
                 &spec,
                 &self.candidates,
@@ -199,10 +192,10 @@ impl OrgGeometry {
 
     /// Componentwise floors over the candidate list at operating
     /// temperature `t` (same voltage-scaling policy as
-    /// [`OrgGeometry::apply_temperature`]): lower bounds on the fields
-    /// of whatever characterization [`OrgGeometry::apply_temperature`]
-    /// returns at `t`, for *any* objective, because the chosen
-    /// organization is one of the minimized-over candidates.
+    /// [`OrgGeometry::characterize_temps`]): lower bounds on the fields
+    /// of whatever characterization the stripe returns at `t`, for
+    /// *any* objective, because the chosen organization is one of the
+    /// minimized-over candidates.
     ///
     /// # Panics
     ///
@@ -210,7 +203,8 @@ impl OrgGeometry {
     #[must_use]
     pub fn floors_at_temperature(&self, t: Kelvin) -> ComponentFloors {
         let spec = self.spec.clone().at_temperature_cryo(t);
-        optimizer::component_floors(&spec, &self.candidates)
+        let dctx = DeviceCtx::with_devices(&spec, &self.devices);
+        optimizer::component_floors(&spec, &self.candidates, &dctx)
     }
 }
 
@@ -277,8 +271,8 @@ fn compute_code_epoch() -> u64 {
             }
             // Two probe characterizations fold the temperature-dependent
             // component and device models into the fingerprint too.
-            for t in [77.0, 300.0] {
-                let a = geometry.apply_temperature(Kelvin::new(t), Objective::EnergyDelayProduct);
+            let probes = [Kelvin::new(77.0), Kelvin::new(300.0)];
+            for a in geometry.characterize_temps(&probes, Objective::EnergyDelayProduct) {
                 h = fnv_mix(h, a.read_latency.get().to_bits());
                 h = fnv_mix(h, a.read_energy.get().to_bits());
                 h = fnv_mix(h, a.standby_power().get().to_bits());
@@ -312,43 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn characterize_matches_optimize_bit_for_bit() {
-        for objective in [
-            Objective::EnergyDelayProduct,
-            Objective::ReadLatency,
-            Objective::Area,
-        ] {
-            let spec = sram_spec();
-            assert_eq!(
-                OrgGeometry::solve(&spec).characterize(objective),
-                crate::optimize(&spec, objective),
-            );
-        }
-    }
-
-    #[test]
-    fn apply_temperature_matches_the_from_scratch_path() {
-        let node = ProcessNode::ptm_22nm_hp();
-        for cell in [
-            CellModel::sram(&node),
-            CellModel::tentpole(MemoryTechnology::Edram3T, Tentpole::Optimistic, &node),
-        ] {
-            let spec = ArraySpec::llc_16mib(cell, &node);
-            let geometry = OrgGeometry::solve(&spec);
-            for t in [77.0, 177.0, 300.0, 387.0] {
-                let t = Kelvin::new(t);
-                assert_eq!(
-                    geometry.apply_temperature(t, Objective::EnergyDelayProduct),
-                    spec.clone()
-                        .at_temperature_cryo(t)
-                        .characterize(Objective::EnergyDelayProduct),
-                    "two-phase result diverged at {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn floors_bound_every_objectives_characterization() {
         let node = ProcessNode::ptm_22nm_hp();
         for cell in [
@@ -367,7 +324,7 @@ mod tests {
                     Objective::Area,
                     Objective::StandbyPower,
                 ] {
-                    let array = geometry.apply_temperature(t, objective);
+                    let array = &geometry.characterize_temps(&[t], objective)[0];
                     assert!(floors.read_latency_s <= array.read_latency.get());
                     assert!(floors.read_energy_j <= array.read_energy.get());
                     assert!(floors.standby_power_w <= array.standby_power().get());
@@ -379,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn characterize_temps_matches_apply_temperature_bit_for_bit() {
+    fn characterize_temps_matches_the_one_shot_path_bit_for_bit() {
         let node = ProcessNode::ptm_22nm_hp();
         let temps: Vec<Kelvin> = [77.0, 177.0, 250.0, 300.0, 350.0, 387.0]
             .into_iter()
@@ -405,8 +362,8 @@ mod tests {
                     for (t, batched) in temps.iter().zip(&stripe) {
                         assert_eq!(
                             *batched,
-                            geometry.apply_temperature(*t, objective),
-                            "SoA stripe diverged from the oracle at {t} ({objective})"
+                            spec.clone().at_temperature_cryo(*t).characterize(objective),
+                            "stripe diverged from the one-shot path at {t} ({objective})"
                         );
                     }
                 }
@@ -419,12 +376,12 @@ mod tests {
         let spec = sram_spec();
         let solved = OrgGeometry::solve(&spec);
         let restored = OrgGeometry::from_parts(&spec, solved.candidates().to_vec());
+        assert_eq!(
+            restored.characterize(Objective::EnergyDelayProduct),
+            solved.characterize(Objective::EnergyDelayProduct),
+        );
         for t in [77.0, 300.0] {
             let t = Kelvin::new(t);
-            assert_eq!(
-                restored.apply_temperature(t, Objective::EnergyDelayProduct),
-                solved.apply_temperature(t, Objective::EnergyDelayProduct),
-            );
             assert_eq!(
                 restored.characterize_temps(&[t], Objective::StandbyPower),
                 solved.characterize_temps(&[t], Objective::StandbyPower),

@@ -8,7 +8,8 @@ use coldtall_units::{Capacity, Kelvin};
 
 use crate::characterize::ArrayCharacterization;
 use crate::ecc::EccScheme;
-use crate::optimizer::{optimize, Objective};
+use crate::optimizer::Objective;
+use crate::org_geometry::OrgGeometry;
 use crate::stacking::Stacking;
 
 /// A rejected array specification: the builder was asked for a
@@ -361,9 +362,18 @@ impl ArraySpec {
 
     /// Characterizes this array, searching internal organizations for the
     /// one minimizing `objective`.
+    ///
+    /// Solves the geometry inline; sweeps that revisit one geometry at
+    /// many temperatures should hold an [`OrgGeometry`] instead, which
+    /// keeps the solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no candidate organization fits the spec (capacity
+    /// smaller than the smallest subarray).
     #[must_use]
     pub fn characterize(&self, objective: Objective) -> ArrayCharacterization {
-        optimize(self, objective)
+        OrgGeometry::solve(self).characterize(objective)
     }
 }
 
@@ -451,5 +461,20 @@ mod tests {
         assert!(s.op().vth_override().is_some());
         let s = spec().at_temperature(Kelvin::LN2);
         assert!(s.op().vth_override().is_none());
+    }
+
+    #[test]
+    fn cryo_policy_cuts_latency_and_leakage_far_more_than_energy() {
+        let cold = spec()
+            .at_temperature_cryo(Kelvin::LN2)
+            .characterize(Objective::EnergyDelayProduct);
+        let warm = spec()
+            .at_temperature_cryo(Kelvin::REFERENCE)
+            .characterize(Objective::EnergyDelayProduct);
+        // Cryo dynamic energy is mildly lower (scaled Vdd), latency much lower.
+        assert!(cold.read_energy < warm.read_energy);
+        assert!(cold.read_energy.get() > warm.read_energy.get() * 0.8);
+        assert!(cold.read_latency.get() < warm.read_latency.get() * 0.35);
+        assert!(cold.leakage_power.get() < warm.leakage_power.get() * 1e-4);
     }
 }

@@ -1,5 +1,5 @@
 //! Timing harness: sequential versus parallel design-space sweeps,
-//! and per-point versus geometry-batched characterization.
+//! and one-shot versus geometry-batched characterization.
 //!
 //! Two workloads, each swept twice — pinned to one thread at every
 //! level, then on the full worker pool — with the results verified
@@ -12,14 +12,11 @@
 //!   distinct characterizations by ~8x so the pool has enough work to
 //!   amortize thread startup.
 //!
-//! A third section (`batch`) isolates the two-phase characterization
-//! kernel: the `study_x_temps` plan executed once with every
-//! characterization dispatched individually
-//! ([`Explorer::execute_per_point`]) and once geometry-batched
-//! ([`Explorer::execute`]), both pinned to one thread so the
-//! comparison measures the kernel, not the pool.
+//! Both paths compile the grid with [`Explorer::plan_sweep`]; the
+//! sequential side runs it with [`Explorer::execute`], the parallel
+//! side with [`Explorer::execute_par`].
 //!
-//! A fourth section (`eval`) isolates the batch **evaluation** kernel
+//! A third section (`eval`) isolates the batch **evaluation** kernel
 //! on a warm explorer (characterizations cached, so only row
 //! production is measured): the full `study_x_temps` x SPEC2017 grid
 //! evaluated once through the scalar per-row loop
@@ -30,11 +27,12 @@
 //! per sweep never revisits a geometry, which is why `geometry.hits`
 //! used to read zero here).
 //!
-//! A fifth section (`char`) isolates the characterization kernel
+//! A fourth section (`char`) isolates the characterization kernel
 //! alone, with no evaluation grid attached: each distinct study
 //! geometry characterized across the eight study temperatures once
-//! per-point (the backend oracle: config lowering, temperature
-//! application, solve, and candidate search from scratch per dispatch)
+//! per point ([`coldtall_array::ArraySpec::characterize`]: config
+//! lowering, temperature application, solve, and candidate search from
+//! scratch per dispatch)
 //! and once as a SoA multi-temperature stripe over pre-solved
 //! geometries ([`OrgGeometry::characterize_temps`]: one
 //! device-parameter derivation per temperature, a column-wise
@@ -44,7 +42,7 @@
 //! reported separately (`solve_ns_per_geometry`) rather than folded
 //! into the per-dispatch number.
 //!
-//! A sixth section (`search`) compares the adaptive branch-and-bound
+//! A fifth section (`search`) compares the adaptive branch-and-bound
 //! search ([`Explorer::search`]) against the exhaustive
 //! sweep-then-filter frontier extraction on the `study_x_temps`
 //! region. Frontier identity and work avoidance are checked cold; the
@@ -68,8 +66,8 @@
 use coldtall_array::{ArrayCharacterization, Objective, OrgGeometry};
 use coldtall_bench::timing::{time_median_pair, JsonObject};
 use coldtall_core::{
-    evaluate_batch, pareto_front, pool, Constraints, DesignPointKey, EvalArena, Explorer,
-    LlcEvaluation, MemoryConfig,
+    evaluate_batch, pareto_front, pool, Constraints, DesignPointKey, EvalArena, ExecutionPlan,
+    Explorer, LlcEvaluation, MemoryConfig,
 };
 use coldtall_units::Kelvin;
 use coldtall_workloads::spec2017;
@@ -81,13 +79,24 @@ fn arg_value(name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// How a compiled plan is run: [`Explorer::execute`] or
+/// [`Explorer::execute_par`].
+type Execute = fn(&Explorer, &ExecutionPlan) -> Vec<LlcEvaluation>;
+
+/// Compiles `configs` on `explorer` and runs the plan with `execute`.
+fn run_sweep(
+    explorer: &Explorer,
+    configs: &[MemoryConfig],
+    execute: Execute,
+) -> Vec<LlcEvaluation> {
+    let plan = explorer.plan_sweep(configs).expect("study configs resolve");
+    execute(explorer, &plan)
+}
+
 /// One cold sweep: fresh explorer (empty cache), so every run includes
 /// the expensive characterization phase.
-fn cold_sweep(
-    configs: &[MemoryConfig],
-    sweep: impl Fn(&Explorer, &[MemoryConfig]) -> Vec<LlcEvaluation>,
-) -> Vec<LlcEvaluation> {
-    sweep(&Explorer::with_defaults(), configs)
+fn cold_sweep(configs: &[MemoryConfig], execute: Execute) -> Vec<LlcEvaluation> {
+    run_sweep(&Explorer::with_defaults(), configs, execute)
 }
 
 /// One sequential-vs-parallel comparison over `configs`, iterations
@@ -95,10 +104,10 @@ fn cold_sweep(
 /// sequential run, then restores auto-detection for the parallel one).
 fn compare(label: &str, iters: u32, configs: &[MemoryConfig], json: &mut JsonObject) -> bool {
     pool::set_max_threads(1);
-    let seq_rows = cold_sweep(configs, Explorer::sweep_configs_seq);
+    let seq_rows = cold_sweep(configs, Explorer::execute);
     pool::set_max_threads(0);
     let threads = pool::max_threads();
-    let par_rows = cold_sweep(configs, Explorer::par_sweep_configs);
+    let par_rows = cold_sweep(configs, Explorer::execute_par);
 
     let (seq, par) = time_median_pair(
         ("sequential", "parallel"),
@@ -107,11 +116,11 @@ fn compare(label: &str, iters: u32, configs: &[MemoryConfig], json: &mut JsonObj
             // Sequential reference: one thread at every level (outer
             // sweep and inner organization search alike).
             pool::set_max_threads(1);
-            let rows = cold_sweep(configs, Explorer::sweep_configs_seq);
+            let rows = cold_sweep(configs, Explorer::execute);
             pool::set_max_threads(0);
             rows
         },
-        || cold_sweep(configs, Explorer::par_sweep_configs),
+        || cold_sweep(configs, Explorer::execute_par),
     );
 
     let identical = seq_rows == par_rows;
@@ -150,63 +159,6 @@ fn compare(label: &str, iters: u32, configs: &[MemoryConfig], json: &mut JsonObj
         )
         .number(&format!("{label}_speedup"), speedup)
         .boolean(&format!("{label}_identical"), identical);
-    identical
-}
-
-/// Per-point versus geometry-batched execution of one plan, pinned to
-/// a single thread so the two-phase kernel — not the pool — is what
-/// gets measured. Fresh explorer per iteration: both paths pay the
-/// full characterization phase every time. The plan carries a single
-/// benchmark — the evaluation grid is identical between the paths, so
-/// a full grid would only dilute the kernel difference under noise.
-fn compare_batch(iters: u32, configs: &[MemoryConfig], json: &mut JsonObject) -> bool {
-    pool::set_max_threads(1);
-    let namd = coldtall_workloads::benchmark("namd").expect("namd profile exists");
-    let plan = coldtall_core::SweepPlan::new(configs.to_vec())
-        .with_benchmarks(std::slice::from_ref(namd))
-        .compile(&coldtall_core::BackendRegistry::with_defaults())
-        .expect("study configs resolve");
-    let run = |execute: fn(&Explorer, &coldtall_core::ExecutionPlan) -> Vec<LlcEvaluation>| {
-        let explorer = Explorer::with_defaults();
-        execute(&explorer, &plan)
-    };
-    let per_point_rows = run(Explorer::execute_per_point);
-    let batched_rows = run(Explorer::execute);
-    let identical = per_point_rows == batched_rows;
-    let rows = batched_rows.len();
-
-    let (per_point, batched) = time_median_pair(
-        ("per_point", "batched"),
-        iters,
-        || run(Explorer::execute_per_point),
-        || run(Explorer::execute),
-    );
-    pool::set_max_threads(0);
-
-    let speedup = per_point.median_secs() / batched.median_secs();
-    println!("# batch: study_x_temps plan, 1 thread ({iters} iters, median)");
-    println!(
-        "  per-point dispatch     {:>10.3} ms  {:>9.0} ns/row",
-        per_point.median_secs() * 1e3,
-        per_point.median_ns_per(rows)
-    );
-    println!(
-        "  geometry-batched       {:>10.3} ms  {:>9.0} ns/row",
-        batched.median_secs() * 1e3,
-        batched.median_ns_per(rows)
-    );
-    println!("  speedup                {speedup:>10.2}x");
-    println!("  identical results      {identical:>10}");
-
-    let mut section = JsonObject::new();
-    #[allow(clippy::cast_precision_loss)]
-    section
-        .number("rows", rows as f64)
-        .number("per_point_ns_per_row", per_point.median_ns_per(rows))
-        .number("batched_ns_per_row", batched.median_ns_per(rows))
-        .number("speedup", speedup)
-        .boolean("identical", identical);
-    json.raw("batch", &section.render());
     identical
 }
 
@@ -283,9 +235,9 @@ fn compare_eval(iters: u32, configs: &[MemoryConfig], json: &mut JsonObject) -> 
 
 /// The characterization kernel in isolation, no evaluation grid: each
 /// distinct study geometry characterized across the eight study
-/// temperatures once per-point (geometry solve + organization search
-/// from scratch per dispatch — the cold path a fresh process pays per
-/// design point) and once as one SoA multi-temperature stripe
+/// temperatures once per point (geometry solve + organization search
+/// from scratch per dispatch — the one-shot
+/// [`coldtall_array::ArraySpec::characterize`] path) and once as one SoA multi-temperature stripe
 /// ([`OrgGeometry::characterize_temps`]): a single solve, one
 /// device-parameter derivation per temperature, and a column-wise
 /// candidate scan over the solve-time SoA columns. Pinned to one
@@ -304,9 +256,9 @@ fn compare_char(iters: u32, json: &mut JsonObject) -> bool {
         .collect();
     let dispatches = configs.len() * temps.len();
 
-    // The per-point oracle exactly as the backends run it per design
-    // point: lower the configuration to a base array, then solve and
-    // search from scratch at the point's temperature.
+    // One-shot characterization per design point: lower the
+    // configuration to a base array, then solve and search from
+    // scratch at the point's temperature.
     let per_point = || -> Vec<ArrayCharacterization> {
         configs
             .iter()
@@ -351,7 +303,7 @@ fn compare_char(iters: u32, json: &mut JsonObject) -> bool {
         temps.len()
     );
     println!(
-        "  per-point dispatch     {:>10.3} ms  {:>9.0} ns/dispatch",
+        "  one-shot per point     {:>10.3} ms  {:>9.0} ns/dispatch",
         point.median_secs() * 1e3,
         point.median_ns_per(dispatches)
     );
@@ -396,7 +348,7 @@ fn compare_char(iters: u32, json: &mut JsonObject) -> bool {
 /// avoided work, *and* the warm adaptive query is no slower than the
 /// warm exhaustive one.
 fn compare_search(iters: u32, configs: &[MemoryConfig], json: &mut JsonObject) -> bool {
-    let exhaustive_front = pareto_front(&cold_sweep(configs, Explorer::par_sweep_configs));
+    let exhaustive_front = pareto_front(&cold_sweep(configs, Explorer::execute_par));
     let outcome = Explorer::with_defaults()
         .search("study_x_temps", configs, &Constraints::none())
         .expect("the study region searches");
@@ -408,7 +360,7 @@ fn compare_search(iters: u32, configs: &[MemoryConfig], json: &mut JsonObject) -
     // untimed. Re-searching the same region on a warm explorer
     // recomputes zero plane floors (`search.floor_cache` takes hits).
     let warm_exhaustive = Explorer::with_defaults();
-    let _ = warm_exhaustive.par_sweep_configs(configs);
+    let _ = run_sweep(&warm_exhaustive, configs, Explorer::execute_par);
     let warm_adaptive = Explorer::with_defaults();
     let _ = warm_adaptive
         .search("study_x_temps", configs, &Constraints::none())
@@ -416,7 +368,7 @@ fn compare_search(iters: u32, configs: &[MemoryConfig], json: &mut JsonObject) -
     let (exhaustive, adaptive) = time_median_pair(
         ("exhaustive", "adaptive"),
         iters,
-        || pareto_front(&warm_exhaustive.par_sweep_configs(configs)),
+        || pareto_front(&run_sweep(&warm_exhaustive, configs, Explorer::execute_par)),
         || {
             warm_adaptive
                 .search("study_x_temps", configs, &Constraints::none())
@@ -505,7 +457,6 @@ fn main() {
 
     let ok_study = compare("study", iters, &study, &mut json);
     let ok_expanded = compare("study_x_temps", iters, &expanded, &mut json);
-    let ok_batch = compare_batch(iters, &expanded, &mut json);
     let ok_eval = compare_eval(iters, &expanded, &mut json);
     let ok_char = compare_char(iters, &mut json);
     let ok_search = compare_search(iters, &expanded, &mut json);
@@ -556,16 +507,12 @@ fn main() {
         "parallel sweep diverged from the sequential reference"
     );
     assert!(
-        ok_batch,
-        "geometry-batched execution diverged from the per-point reference"
-    );
-    assert!(
         ok_eval,
         "batch evaluation kernel diverged from the scalar per-row loop"
     );
     assert!(
         ok_char,
-        "SoA temperature stripe diverged from the per-point oracle or was not faster"
+        "SoA temperature stripe diverged from one-shot characterization or was not faster"
     );
     assert!(
         ok_search,

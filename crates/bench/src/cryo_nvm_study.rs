@@ -26,7 +26,10 @@ pub fn run() -> TextTable {
 
     // Exhaustive path: one batched sweep of the region under the full
     // SPEC2017 suite, rows in config-major order.
-    let rows = explorer.sweep_configs(&configs);
+    let plan = explorer
+        .plan_sweep(&configs)
+        .expect("the cryo-STT region resolves");
+    let rows = explorer.execute_par(&plan);
     let suite = spec2017().len();
     assert_eq!(rows.len(), configs.len() * suite);
 

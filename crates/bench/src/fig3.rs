@@ -1,10 +1,10 @@
 //! Fig. 3: array-level characterization of 16 MiB SRAM and 3T-eDRAM
 //! under varying operating temperature, relative to 350 K SRAM.
 
-use coldtall_array::{ArraySpec, Objective};
+use coldtall_array::{ArraySpec, Objective, OrgGeometry};
 use coldtall_cell::{CellModel, MemoryTechnology};
 use coldtall_core::report::{sci, TextTable};
-use coldtall_cryo::{characterize_at, study_temperatures};
+use coldtall_cryo::study_temperatures;
 use coldtall_tech::ProcessNode;
 use coldtall_units::Kelvin;
 
@@ -30,9 +30,9 @@ pub fn run() -> TextTable {
     ]);
     for tech in [MemoryTechnology::Sram, MemoryTechnology::Edram3T] {
         let cell = CellModel::tentpole(tech, coldtall_cell::Tentpole::Optimistic, &node);
-        let spec = ArraySpec::llc_16mib(cell, &node);
-        for &t in study_temperatures() {
-            let a = characterize_at(&spec, t, objective);
+        let geometry = OrgGeometry::solve(&ArraySpec::llc_16mib(cell, &node));
+        let arrays = geometry.characterize_temps(study_temperatures(), objective);
+        for (&t, a) in study_temperatures().iter().zip(&arrays) {
             table.row_owned(vec![
                 tech.name().to_string(),
                 format!("{:.0}", t.get()),

@@ -35,7 +35,7 @@ use core::fmt;
 use std::sync::Arc;
 
 use coldtall_array::{ArrayCharacterization, ArraySpec, Objective, OrgGeometry};
-use coldtall_cell::{CellModel, MemoryTechnology};
+use coldtall_cell::MemoryTechnology;
 use coldtall_tech::ProcessNode;
 use coldtall_units::Kelvin;
 
@@ -45,10 +45,14 @@ use crate::parcache::GeometryCache;
 use crate::plan::DesignPointKey;
 
 /// Lowest operating temperature either default backend accepts — the
-/// CLI's legal lower bound, below the paper's 77 K sweep floor.
+/// CLI's legal lower bound, below the paper's 77 K sweep floor. Below
+/// about 60 K carrier freeze-out invalidates the bulk-CMOS device
+/// cards, and near 4 K computing moves to superconducting logic
+/// families (RSFQ, AQFP) this toolchain does not model.
 const MIN_TEMPERATURE_K: f64 = 60.0;
 
-/// Highest operating temperature either default backend accepts.
+/// Highest operating temperature either default backend accepts: the
+/// thermal envelope of the device cards.
 const MAX_TEMPERATURE_K: f64 = 400.0;
 
 /// What a backend can characterize: the technologies, the operating
@@ -174,31 +178,30 @@ pub trait CharacterizationBackend: Send + Sync + fmt::Debug {
         config.to_spec(node)
     }
 
-    /// Characterizes the design point's array.
-    fn characterize(
-        &self,
-        config: &MemoryConfig,
-        node: &ProcessNode,
-        objective: Objective,
-    ) -> ArrayCharacterization {
-        self.lower(config, node).characterize(objective)
-    }
-
     /// Characterizes a batch of design points sharing one
     /// temperature-stripped geometry key (same technology, tentpole
     /// where the cell model reads it, and die count — the points
     /// differ only in operating temperature), returning one result per
-    /// config in order.
+    /// config in order. This is the one characterization entry point:
+    /// a single point is a batch of one.
     ///
-    /// The default implementation loops
-    /// [`CharacterizationBackend::characterize`] and never touches the
-    /// geometry cache, so custom backends are correct with no extra
-    /// work. The two default backends override it with the two-phase
-    /// kernel: the organization geometry is solved once per
-    /// `geometry_key` (memoized in `geometries`, counted as
-    /// `geometry.solves`) and the cheap temperature pass fans out per
-    /// point. Overrides must stay **bit-identical** to the per-point
-    /// path — the golden suite and `tests/batch.rs` pin this.
+    /// The default is the two-phase kernel: one geometry solve per
+    /// `geometry_key` ([`OrgGeometry::solve`] on the batch's
+    /// temperature-free base spec, memoized in `geometries` and
+    /// counted as `geometry.solves`), then the whole temperature stripe
+    /// scored in **one** [`OrgGeometry::characterize_temps`] call over
+    /// the geometry's SoA candidate columns. The per-temperature
+    /// device-parameter derivation (Matula resistivity, subthreshold
+    /// leakage, mobility) is hoisted out of the per-candidate loop, so
+    /// a batch of N temperatures costs N device derivations plus N
+    /// column scans. Every config lowers through the same base spec
+    /// ([`MemoryConfig::to_base_spec`]) before `at_temperature_cryo`,
+    /// so a stripe entry is the bytes of [`MemoryConfig::to_spec`]
+    /// characterized on its own.
+    ///
+    /// An override (a measured-silicon table, an external simulator
+    /// binding) may ignore `geometry_key` and `geometries`, but must
+    /// return exactly one result per config.
     fn characterize_batch(
         &self,
         geometry_key: &DesignPointKey,
@@ -207,51 +210,20 @@ pub trait CharacterizationBackend: Send + Sync + fmt::Debug {
         objective: Objective,
         geometries: &GeometryCache,
     ) -> Vec<ArrayCharacterization> {
-        let _ = (geometry_key, geometries);
-        configs
-            .iter()
-            .map(|config| self.characterize(config, node, objective))
-            .collect()
+        let Some(first) = configs.first() else {
+            return Vec::new();
+        };
+        let geometry = geometries.get_or_solve(geometry_key, || {
+            OrgGeometry::solve(&first.to_base_spec(node))
+        });
+        let temps: Vec<Kelvin> = configs.iter().map(MemoryConfig::temperature).collect();
+        geometry.characterize_temps(&temps, objective)
     }
 }
 
-/// The shared two-phase batch kernel of the default backends: one
-/// geometry solve per key ([`OrgGeometry::solve`] on the batch's
-/// temperature-free base spec, memoized in `geometries`), then the
-/// whole temperature stripe scored in **one**
-/// [`OrgGeometry::characterize_temps`] call over the geometry's SoA
-/// candidate columns — the per-temperature device-parameter derivation
-/// (Matula resistivity, subthreshold leakage, mobility) is hoisted out
-/// of the per-candidate loop inside the kernel, so a batch of N
-/// temperatures costs N device derivations plus N column scans instead
-/// of N full searches.
-///
-/// Bit-identity with the per-point path holds because both default
-/// backends lower every config through the same base spec
-/// ([`MemoryConfig::to_base_spec`]) before applying
-/// `at_temperature_cryo` — exactly the decomposition
-/// [`OrgGeometry::characterize_temps`] replays per stripe entry (it is
-/// itself pinned bit-identical to [`OrgGeometry::apply_temperature`]).
-fn two_phase_batch(
-    geometry_key: &DesignPointKey,
-    configs: &[MemoryConfig],
-    node: &ProcessNode,
-    objective: Objective,
-    geometries: &GeometryCache,
-) -> Vec<ArrayCharacterization> {
-    let Some(first) = configs.first() else {
-        return Vec::new();
-    };
-    let geometry =
-        geometries.get_or_solve(geometry_key, || OrgGeometry::solve(&first.to_base_spec(node)));
-    let temps: Vec<Kelvin> = configs.iter().map(MemoryConfig::temperature).collect();
-    geometry.characterize_temps(&temps, objective)
-}
-
 /// The CryoMEM-equivalent backend: single-die volatile memories
-/// (SRAM and the eDRAMs) swept across operating temperature, routed
-/// through [`coldtall_cryo::characterize_at`] so the cryogenic
-/// voltage-scaling policy is applied by the cryo layer itself.
+/// (SRAM and the eDRAMs) swept across operating temperature under the
+/// cryogenic voltage-scaling policy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CryoMemBackend;
 
@@ -271,35 +243,6 @@ impl CharacterizationBackend for CryoMemBackend {
             Kelvin::new(MAX_TEMPERATURE_K),
             vec![1],
         )
-    }
-
-    fn characterize(
-        &self,
-        config: &MemoryConfig,
-        node: &ProcessNode,
-        objective: Objective,
-    ) -> ArrayCharacterization {
-        // Build the temperature-free base array and hand the operating
-        // point to the cryo layer, which applies the voltage-scaling
-        // policy — bit-identical to lowering the temperature into the
-        // spec first, but keeps the policy in one place.
-        let cell = CellModel::tentpole(config.technology(), config.tentpole(), node);
-        let base = ArraySpec::llc_16mib(cell, node);
-        coldtall_cryo::characterize_at(&base, config.temperature(), objective)
-    }
-
-    fn characterize_batch(
-        &self,
-        geometry_key: &DesignPointKey,
-        configs: &[MemoryConfig],
-        node: &ProcessNode,
-        objective: Objective,
-        geometries: &GeometryCache,
-    ) -> Vec<ArrayCharacterization> {
-        // The temperature sweeps this backend serves are exactly the
-        // workload the two-phase kernel amortizes: one geometry solve,
-        // then rho(T)/leakage/mobility re-evaluation per temperature.
-        two_phase_batch(geometry_key, configs, node, objective, geometries)
     }
 }
 
@@ -327,17 +270,6 @@ impl CharacterizationBackend for DestinyBackend {
             Kelvin::new(MAX_TEMPERATURE_K),
             MemoryConfig::VALID_DIES.to_vec(),
         )
-    }
-
-    fn characterize_batch(
-        &self,
-        geometry_key: &DesignPointKey,
-        configs: &[MemoryConfig],
-        node: &ProcessNode,
-        objective: Objective,
-        geometries: &GeometryCache,
-    ) -> Vec<ArrayCharacterization> {
-        two_phase_batch(geometry_key, configs, node, objective, geometries)
     }
 }
 
@@ -529,18 +461,34 @@ mod tests {
         }
     }
 
+    /// One design point characterized as a batch of one, on a private
+    /// geometry cache.
+    fn one(backend: &dyn CharacterizationBackend, config: &MemoryConfig) -> ArrayCharacterization {
+        let node = ProcessNode::ptm_22nm_hp();
+        let mut results = backend.characterize_batch(
+            &DesignPointKey::geometry_of(config),
+            std::slice::from_ref(config),
+            &node,
+            Objective::EnergyDelayProduct,
+            &GeometryCache::unregistered(),
+        );
+        assert_eq!(results.len(), 1);
+        results.remove(0)
+    }
+
     #[test]
     fn cryomem_routes_bit_identically_to_the_spec_path() {
         let node = ProcessNode::ptm_22nm_hp();
-        let objective = Objective::EnergyDelayProduct;
         for config in [
             MemoryConfig::sram_350k(),
             MemoryConfig::sram_77k(),
             MemoryConfig::edram_77k(),
         ] {
             assert_eq!(
-                CryoMemBackend.characterize(&config, &node, objective),
-                config.to_spec(&node).characterize(objective),
+                one(&CryoMemBackend, &config),
+                config
+                    .to_spec(&node)
+                    .characterize(Objective::EnergyDelayProduct),
                 "{}",
                 config.label()
             );
@@ -564,12 +512,7 @@ mod tests {
             CryoMemBackend.characterize_batch(&key, &cryo_configs, &node, objective, &geometries);
         assert_eq!(batched.len(), cryo_configs.len());
         for (config, got) in cryo_configs.iter().zip(&batched) {
-            assert_eq!(
-                got,
-                &CryoMemBackend.characterize(config, &node, objective),
-                "{}",
-                config.label()
-            );
+            assert_eq!(got, &one(&CryoMemBackend, config), "{}", config.label());
         }
         assert_eq!(geometries.solves(), 1);
 
@@ -585,12 +528,7 @@ mod tests {
         let batched =
             DestinyBackend.characterize_batch(&key, &stacked, &node, objective, &geometries);
         for (config, got) in stacked.iter().zip(&batched) {
-            assert_eq!(
-                got,
-                &DestinyBackend.characterize(config, &node, objective),
-                "{}",
-                config.label()
-            );
+            assert_eq!(got, &one(&DestinyBackend, config), "{}", config.label());
         }
         assert_eq!(geometries.solves(), 2, "one more solve for the new key");
     }

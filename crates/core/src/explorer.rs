@@ -21,7 +21,7 @@ use crate::evaluate::{device_power, row_values, service_time, LlcEvaluation};
 use crate::lifetime::lifetime_years;
 use crate::parcache::{CacheConfig, CacheMetrics, GeometryCache, ShardedCache};
 use crate::pareto::Constraints;
-use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, KeyedJobs, SweepPlan};
+use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 use crate::pool;
 use crate::search::{self, SearchMetrics, SearchOutcome};
 
@@ -46,16 +46,18 @@ const INLINE_JOB_THRESHOLD: usize = 64;
 /// pipeline: [`Explorer::plan_sweep`] compiles the (configuration x
 /// benchmark) grid into a validated [`ExecutionPlan`] with
 /// key-deduplicated characterization jobs, and
-/// [`Explorer::execute`] / [`Explorer::execute_par`] run it. The
-/// classic entry points ([`Explorer::sweep_configs`] and friends) are
-/// thin wrappers over that pipeline.
+/// [`Explorer::execute`] / [`Explorer::execute_par`] run it;
+/// [`Explorer::try_sweep_configs`] is the one convenience wrapper over
+/// that pipeline. Every characterization miss — a scalar probe, a plan
+/// job group, a search refinement — is dispatched through the same
+/// backend batch call and the same geometry cache.
 ///
 /// The explorer is `Send + Sync`: the characterization memo is a
 /// sharded, lock-striped cache ([`crate::ShardedCache`]) keyed by
 /// [`DesignPointKey`], so one explorer can be shared by every worker
 /// of a parallel sweep. All evaluation is pure arithmetic over
-/// immutable state, which makes [`Explorer::par_sweep_configs`]
-/// bit-identical to the sequential [`Explorer::sweep_configs_seq`].
+/// immutable state, which makes [`Explorer::execute_par`] bit-identical
+/// to the sequential [`Explorer::execute`].
 ///
 /// # Examples
 ///
@@ -72,8 +74,8 @@ pub struct Explorer {
     node: ProcessNode,
     objective: Objective,
     cache: ShardedCache<ArrayCharacterization>,
-    /// Temperature-stripped geometry solves shared by the batched
-    /// execution paths (phase 1 of the two-phase kernel).
+    /// Temperature-stripped geometry solves shared by every
+    /// characterization miss (phase 1 of the two-phase kernel).
     geometries: GeometryCache,
     baseline: ArrayCharacterization,
     reference_power: Watts,
@@ -107,8 +109,8 @@ pub struct Explorer {
 struct BackendStats {
     /// Successful resolutions the explorer performed on the backend's
     /// behalf (`backend.<name>.resolved`): the eager baseline,
-    /// per-point dispatches, hybrid capacity scaling, and one per job
-    /// at plan compilation. Overlap resolution is auditable here —
+    /// scalar misses, hybrid capacity scaling, and one per job at plan
+    /// compilation. Overlap resolution is auditable here —
     /// a point silently rerouted by a policy change moves between
     /// these counters.
     resolved: Arc<Counter>,
@@ -137,15 +139,15 @@ impl BackendStats {
 struct ExplorerMetrics {
     /// Probes of the characterization cache (hit or miss alike).
     characterize_calls: Arc<Counter>,
-    /// Backend dispatches that performed real characterization work: a
-    /// single missed point, or one *batch* of missed points on the
-    /// grouped execution paths. Always equals the `characterize` span's
-    /// sample count; at most `cache.misses`.
+    /// Backend dispatches that performed real characterization work:
+    /// one per batch of missed points (a scalar miss is a batch of
+    /// one). Always equals the `characterize` span's sample count; at
+    /// most `cache.misses`.
     characterize_dispatches: Arc<Counter>,
     /// Benchmark evaluations performed.
     evaluate_calls: Arc<Counter>,
     /// Configurations submitted to sweeps.
-    sweep_configs: Arc<Counter>,
+    swept_configs: Arc<Counter>,
     /// Evaluation rows produced by sweeps.
     sweep_rows: Arc<Counter>,
     /// Durations of actual (missed) array characterizations.
@@ -162,7 +164,7 @@ impl ExplorerMetrics {
             characterize_calls: registry.counter("explorer.characterize.calls"),
             characterize_dispatches: registry.counter("explorer.characterize.dispatches"),
             evaluate_calls: registry.counter("explorer.evaluate.calls"),
-            sweep_configs: registry.counter("sweep.configs"),
+            swept_configs: registry.counter("sweep.configs"),
             sweep_rows: registry.counter("sweep.rows"),
             characterize_span: registry.span("characterize"),
             evaluate_span: registry.span("evaluate"),
@@ -265,7 +267,21 @@ impl Explorer {
         backend_stats[index].characterizations.inc();
         let baseline = {
             let _span = Span::enter(backend_stats[index].span.clone());
-            backends.backends()[index].characterize(&baseline_config, &node, objective)
+            // The baseline solves its geometry outside the explorer's
+            // cache, so a fresh explorer reports zero `geometry.solves`
+            // and a warm start can cover every solve a sweep needs.
+            let results = backends.backends()[index].characterize_batch(
+                &DesignPointKey::geometry_of(&baseline_config),
+                std::slice::from_ref(&baseline_config),
+                &node,
+                objective,
+                &GeometryCache::unregistered(),
+            );
+            let [baseline]: [ArrayCharacterization; 1] =
+                results.try_into().unwrap_or_else(|r: Vec<_>| {
+                    panic!("backend returned {} results for a batch of 1", r.len())
+                });
+            baseline
         };
         let reference = coldtall_workloads::spec2017()
             .iter()
@@ -377,7 +393,7 @@ impl Explorer {
         }
     }
 
-    /// The geometry cache feeding the batched execution paths.
+    /// The geometry cache every characterization miss solves through.
     #[must_use]
     pub fn geometry_cache(&self) -> &GeometryCache {
         &self.geometries
@@ -389,27 +405,63 @@ impl Explorer {
         &self.backends
     }
 
-    /// Resolves `config`'s backend and dispatches one characterization,
-    /// counting it against the backend's telemetry.
+    /// The explorer's one characterization-miss path: dispatches
+    /// `configs` — uncached design points sharing `geometry_key`, all
+    /// resolved to backend `backend_index` — as one
+    /// [`crate::CharacterizationBackend::characterize_batch`] call
+    /// through the explorer's geometry cache, publishes each result
+    /// under the matching entry of `keys`, and returns the published
+    /// values (first publication wins a race).
     ///
-    /// Panics on resolution failure — callers on the infallible paths
-    /// have the documented precondition that their configurations
-    /// resolve; [`Explorer::try_characterize`] and the plan compiler
-    /// surface the typed error instead.
-    fn dispatch(&self, key: &DesignPointKey, config: &MemoryConfig) -> ArrayCharacterization {
-        let index = self
-            .backends
-            .resolve_index(config)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.backend_stats[index].resolved.inc();
-        self.backend_stats[index].characterizations.inc();
-        self.note_resolved_backend(key, self.backends.backends()[index].name());
-        let _span = Span::enter(self.backend_stats[index].span.clone());
-        self.backends.backends()[index].characterize(config, &self.node, self.objective)
+    /// Counts one `explorer.characterize.dispatches` and one
+    /// `characterize` span sample per call, and one
+    /// `backend.<name>.characterizations` per config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend returns other than one result per config.
+    fn dispatch_misses(
+        &self,
+        geometry_key: &DesignPointKey,
+        backend_index: usize,
+        keys: &[&DesignPointKey],
+        configs: &[MemoryConfig],
+    ) -> Vec<ArrayCharacterization> {
+        let backend = &self.backends.backends()[backend_index];
+        let stats = &self.backend_stats[backend_index];
+        stats.characterizations.add(configs.len() as u64);
+        self.metrics.characterize_dispatches.inc();
+        let results = {
+            let _span = Span::enter(self.metrics.characterize_span.clone());
+            let _backend_span = Span::enter(stats.span.clone());
+            backend.characterize_batch(
+                geometry_key,
+                configs,
+                &self.node,
+                self.objective,
+                &self.geometries,
+            )
+        };
+        assert_eq!(
+            results.len(),
+            configs.len(),
+            "backend '{}' returned {} results for a batch of {}",
+            backend.name(),
+            results.len(),
+            configs.len()
+        );
+        keys.iter()
+            .zip(results)
+            .map(|(key, result)| {
+                self.note_resolved_backend(key, backend.name());
+                self.cache.insert(key, result)
+            })
+            .collect()
     }
 
     /// Characterizes a configuration's array (cached, thread-safe),
-    /// dispatching misses through the backend registry.
+    /// dispatching a miss through the backend registry as a batch of
+    /// one.
     ///
     /// On a miss the characterization runs without any shard lock held;
     /// threads racing on the same key converge on the first published
@@ -425,26 +477,19 @@ impl Explorer {
     /// custom registries.
     #[must_use]
     pub fn characterize(&self, config: &MemoryConfig) -> ArrayCharacterization {
-        self.characterize_keyed(&DesignPointKey::of_config(config), config)
-    }
-
-    /// [`Explorer::characterize`] with the canonical key already in
-    /// hand (plan execution computes each job's key once at compile
-    /// time).
-    fn characterize_keyed(
-        &self,
-        key: &DesignPointKey,
-        config: &MemoryConfig,
-    ) -> ArrayCharacterization {
+        let key = DesignPointKey::of_config(config);
         self.metrics.characterize_calls.inc();
-        self.cache.get_or_insert_with(key, || {
-            // The span times only real characterization work, so its
-            // sample count equals the dispatch count (one single-point
-            // dispatch here; the batched paths count one per batch).
-            self.metrics.characterize_dispatches.inc();
-            let _span = Span::enter(self.metrics.characterize_span.clone());
-            self.dispatch(key, config)
-        })
+        if let Some(hit) = self.cache.get(&key) {
+            return hit;
+        }
+        let index = self
+            .backends
+            .resolve_index(config)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.backend_stats[index].resolved.inc();
+        let geometry_key = DesignPointKey::geometry_of(config);
+        self.dispatch_misses(&geometry_key, index, &[&key], std::slice::from_ref(config))
+            .remove(0)
     }
 
     /// Characterizes `config` lowered through its backend with the
@@ -511,20 +556,20 @@ impl Explorer {
     }
 
     /// Warms the characterization cache for every distinct configuration
-    /// in `configs`, one pool item per distinct [`DesignPointKey`].
+    /// in `configs`: compiles them into a plan and runs its job phase on
+    /// the pool, one item per geometry group, exactly as
+    /// [`Explorer::execute_par`] does. Grouping gives each geometry key
+    /// to one worker, which keeps the cache and geometry counters
+    /// deterministic under any thread count.
     ///
-    /// Called by the parallel sweep before fanning out over
-    /// (configuration, benchmark) pairs, so co-scheduled workers of the
-    /// same configuration do not redundantly characterize it. Keys are
-    /// deduplicated first ([`KeyedJobs`]): each distinct key is probed
-    /// by exactly one pool item, which keeps the cache's hit/miss
-    /// counters deterministic under any thread count (two workers
-    /// racing the same missing key would otherwise both count a miss).
+    /// # Panics
+    ///
+    /// Panics if some configuration does not resolve to exactly one
+    /// backend.
     pub fn precharacterize(&self, configs: &[MemoryConfig]) {
-        let jobs = KeyedJobs::build(configs.iter().cloned(), |_, config| {
-            DesignPointKey::of_config(config)
-        });
-        let _ = jobs.execute(|key, config| self.characterize_keyed(key, config));
+        let plan = self.plan_sweep(configs).unwrap_or_else(|e| panic!("{e}"));
+        let groups = self.geometry_groups(&plan);
+        let _ = pool::parallel_map_slice(&groups, |group| self.characterize_group(group));
     }
 
     /// Evaluates one configuration under one benchmark's traffic.
@@ -620,53 +665,6 @@ impl Explorer {
         Ok(plan)
     }
 
-    /// Evaluates the full study: every configuration of
-    /// [`MemoryConfig::study_set`] under every SPEC2017 benchmark.
-    #[must_use]
-    pub fn sweep(&self) -> Vec<LlcEvaluation> {
-        self.sweep_configs(&MemoryConfig::study_set())
-    }
-
-    /// Evaluates the given configurations under every SPEC2017
-    /// benchmark.
-    ///
-    /// Always the pooled path: [`crate::pool::parallel_map`] itself
-    /// degrades to an inline loop on 1-CPU machines, so routing
-    /// unconditionally through [`Explorer::par_sweep_configs`] keeps
-    /// the logical call pattern — and with it every exported counter —
-    /// identical under any thread count.
-    #[must_use]
-    pub fn sweep_configs(&self, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
-        self.par_sweep_configs(configs)
-    }
-
-    /// The sequential reference sweep: compiles a plan and runs it with
-    /// [`Explorer::execute`] (plain loops, no pool).
-    ///
-    /// Kept as the determinism oracle for [`Explorer::par_sweep_configs`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if some configuration does not resolve to exactly one
-    /// backend; use [`Explorer::plan_sweep`] for the typed error.
-    #[must_use]
-    pub fn sweep_configs_seq(&self, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
-        let plan = self.plan_sweep(configs).unwrap_or_else(|e| panic!("{e}"));
-        self.execute(&plan)
-    }
-
-    /// Compiles and runs the pooled sweep over `configs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some configuration does not resolve to exactly one
-    /// backend; use [`Explorer::plan_sweep`] for the typed error.
-    #[must_use]
-    pub fn par_sweep_configs(&self, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
-        let plan = self.plan_sweep(configs).unwrap_or_else(|e| panic!("{e}"));
-        self.execute_par(&plan)
-    }
-
     /// Groups a plan's job list by (temperature-stripped geometry key,
     /// resolved backend), keys and groups in first-appearance order.
     ///
@@ -712,16 +710,9 @@ impl Explorer {
     }
 
     /// Runs one geometry group of a plan's job phase: probes every
-    /// job's cache entry (each probe counting its one hit or miss),
-    /// dispatches the misses as a single batch through the group's
-    /// backend ([`crate::CharacterizationBackend::characterize_batch`]
-    /// — one geometry solve for the whole group), and publishes the
-    /// results.
-    ///
-    /// Counter accounting matches the per-point path probe for probe;
-    /// only the dispatch granularity differs (one `characterize` span
-    /// sample and one `explorer.characterize.dispatches` per batch
-    /// with work, instead of one per missed point).
+    /// job's cache entry (each probe counting its one hit or miss) and
+    /// dispatches the misses as a single batch (one geometry solve for
+    /// the whole group).
     fn characterize_group(&self, group: &JobGroup<'_>) {
         let missing: Vec<&CharacterizationJob> = group
             .jobs
@@ -735,33 +726,9 @@ impl Explorer {
         if missing.is_empty() {
             return;
         }
+        let keys: Vec<&DesignPointKey> = missing.iter().map(|job| job.key()).collect();
         let configs: Vec<MemoryConfig> = missing.iter().map(|job| job.config().clone()).collect();
-        let stats = &self.backend_stats[group.backend_index];
-        stats.characterizations.add(missing.len() as u64);
-        self.metrics.characterize_dispatches.inc();
-        let results = {
-            let _span = Span::enter(self.metrics.characterize_span.clone());
-            let _backend_span = Span::enter(stats.span.clone());
-            self.backends.backends()[group.backend_index].characterize_batch(
-                &group.geometry_key,
-                &configs,
-                &self.node,
-                self.objective,
-                &self.geometries,
-            )
-        };
-        assert_eq!(
-            results.len(),
-            missing.len(),
-            "backend '{}' returned {} results for a batch of {}",
-            self.backends.backends()[group.backend_index].name(),
-            results.len(),
-            missing.len()
-        );
-        for (job, result) in missing.iter().zip(results) {
-            let _ = self.cache.insert(job.key(), result);
-            self.note_resolved_backend(job.key(), job.backend());
-        }
+        let _ = self.dispatch_misses(&group.geometry_key, group.backend_index, &keys, &configs);
     }
 
     /// Runs a compiled plan sequentially: plain loops, no pool.
@@ -789,7 +756,7 @@ impl Explorer {
     /// [`LlcEvaluation`] values at all.
     pub fn execute_into(&self, plan: &ExecutionPlan, arena: &mut EvalArena) {
         let _span = Span::enter(self.metrics.sweep_span.clone());
-        self.metrics.sweep_configs.add(plan.configs().len() as u64);
+        self.metrics.swept_configs.add(plan.configs().len() as u64);
         for group in self.geometry_groups(plan) {
             self.characterize_group(&group);
         }
@@ -808,9 +775,8 @@ impl Explorer {
     /// one characterization-cache probe, the cooling tier's wall-power
     /// factor, the cell endurance model, and one `evaluate` span
     /// sample. The per-row arithmetic is shared with the scalar path
-    /// (`row_values` — one copy of the float
-    /// expressions), so the emitted rows are bit-identical to the
-    /// oracle's.
+    /// (`row_values` — one copy of the float expressions), so the
+    /// emitted rows are bit-identical to [`Explorer::evaluate`]'s.
     ///
     /// Characterizations need not be warm: a cold plane pays its cache
     /// miss inside the plane's probe, exactly like the scalar path.
@@ -917,42 +883,6 @@ impl Explorer {
         rows
     }
 
-    /// Runs a compiled plan with every characterization dispatched
-    /// individually — no geometry grouping, no batch lowering.
-    ///
-    /// This is the reference the batched paths are measured against:
-    /// `tests/batch.rs` pins bit-identity of the produced rows, and
-    /// the bench harness's `batch` section reports both per-row
-    /// timings. Counters differ from [`Explorer::execute`] only in
-    /// dispatch granularity (`explorer.characterize.dispatches`, the
-    /// `characterize` span count, and `geometry.*`, which this path
-    /// never touches).
-    #[must_use]
-    pub fn execute_per_point(&self, plan: &ExecutionPlan) -> Vec<LlcEvaluation> {
-        let _span = Span::enter(self.metrics.sweep_span.clone());
-        self.metrics.sweep_configs.add(plan.configs().len() as u64);
-        for job in plan.jobs() {
-            let _ = self.characterize_keyed(job.key(), job.config());
-        }
-        self.evaluate_grid(plan)
-    }
-
-    /// The row-major evaluation phase shared by every execution path;
-    /// all characterizations are cache hits by the time it runs.
-    fn evaluate_grid(&self, plan: &ExecutionPlan) -> Vec<LlcEvaluation> {
-        let rows: Vec<LlcEvaluation> = plan
-            .configs()
-            .iter()
-            .flat_map(|config| {
-                plan.benchmarks()
-                    .iter()
-                    .map(move |benchmark| self.evaluate(config, benchmark))
-            })
-            .collect();
-        self.metrics.sweep_rows.add(rows.len() as u64);
-        rows
-    }
-
     /// Runs a compiled plan on the scoped worker pool.
     ///
     /// Two phases: the geometry-keyed job groups fan out first (each
@@ -983,7 +913,7 @@ impl Explorer {
             return self.execute(plan);
         }
         let _span = Span::enter(self.metrics.sweep_span.clone());
-        self.metrics.sweep_configs.add(plan.configs().len() as u64);
+        self.metrics.swept_configs.add(plan.configs().len() as u64);
         let groups = self.geometry_groups(plan);
         let _ = pool::parallel_map_slice(&groups, |group| self.characterize_group(group));
         let configs = plan.configs();
@@ -1060,9 +990,8 @@ impl Explorer {
 
     /// The search's refinement-phase characterization of one plane:
     /// probe the cache (counting the one hit or miss), and on a miss
-    /// dispatch a batch of one through the plane's backend — the same
-    /// two-phase lowering, geometry cache, and counter accounting as
-    /// one [`Explorer::characterize_group`] batch with a single job.
+    /// dispatch a batch of one through the plane's already-resolved
+    /// backend.
     pub(crate) fn characterize_search_plane(
         &self,
         key: &DesignPointKey,
@@ -1070,34 +999,14 @@ impl Explorer {
         backend_index: usize,
     ) {
         self.metrics.characterize_calls.inc();
-        if self.cache.get(key).is_some() {
-            return;
-        }
-        let geometry_key = DesignPointKey::geometry_of(config);
-        let stats = &self.backend_stats[backend_index];
-        stats.characterizations.inc();
-        self.metrics.characterize_dispatches.inc();
-        let results = {
-            let _span = Span::enter(self.metrics.characterize_span.clone());
-            let _backend_span = Span::enter(stats.span.clone());
-            self.backends.backends()[backend_index].characterize_batch(
+        if self.cache.get(key).is_none() {
+            let geometry_key = DesignPointKey::geometry_of(config);
+            let _ = self.dispatch_misses(
                 &geometry_key,
+                backend_index,
+                &[key],
                 std::slice::from_ref(config),
-                &self.node,
-                self.objective,
-                &self.geometries,
-            )
-        };
-        assert_eq!(
-            results.len(),
-            1,
-            "backend '{}' returned {} results for a batch of 1",
-            self.backends.backends()[backend_index].name(),
-            results.len()
-        );
-        for result in results {
-            let _ = self.cache.insert(key, result);
-            self.note_resolved_backend(key, self.backends.backends()[backend_index].name());
+            );
         }
     }
 
@@ -1194,27 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_the_cross_product() {
-        let explorer = Explorer::with_defaults();
-        let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_77k()];
-        let rows = explorer.sweep_configs(&configs);
-        assert_eq!(rows.len(), 2 * spec2017().len());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_sweep() {
-        let explorer = Explorer::with_defaults();
-        let configs = [
-            MemoryConfig::sram_350k(),
-            MemoryConfig::sram_77k(),
-            MemoryConfig::edram_77k(),
-        ];
-        let par = explorer.par_sweep_configs(&configs);
-        let seq = explorer.sweep_configs_seq(&configs);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn edram_350k_is_infeasible_for_performance() {
         let explorer = Explorer::with_defaults();
         let eval = explorer.evaluate(&MemoryConfig::edram_350k(), benchmark("namd").unwrap());
@@ -1252,11 +1140,12 @@ mod tests {
         let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_350k()];
         let rows = explorer.try_sweep_configs(&configs).expect("sweep is NaN-free");
         assert_eq!(rows.len(), 2 * spec2017().len());
-        assert_eq!(rows, explorer.sweep_configs(&configs));
+        let plan = explorer.plan_sweep(&configs).expect("plan compiles");
+        assert_eq!(rows, explorer.execute(&plan));
     }
 
     #[test]
-    fn plan_execute_matches_the_wrapper_paths() {
+    fn plan_execute_matches_the_scalar_path() {
         let explorer = Explorer::with_defaults();
         let configs = [
             MemoryConfig::sram_350k(),
@@ -1269,7 +1158,12 @@ mod tests {
         let seq = explorer.execute(&plan);
         let par = explorer.execute_par(&plan);
         assert_eq!(seq, par);
-        assert_eq!(seq, explorer.sweep_configs(&configs));
+        let scalar = Explorer::with_defaults();
+        let expected: Vec<LlcEvaluation> = configs
+            .iter()
+            .flat_map(|config| spec2017().iter().map(|b| scalar.evaluate(config, b)))
+            .collect();
+        assert_eq!(seq, expected);
     }
 
     #[test]

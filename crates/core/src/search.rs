@@ -12,9 +12,8 @@
 //!
 //! # Bound soundness
 //!
-//! Region bounds generalize the organization optimizer's
-//! [`coldtall_array::score_lower_bound`] from one candidate's score to
-//! a whole plane's field vector. Per plane,
+//! Region bounds are componentwise floors over a whole plane's
+//! candidate organizations. Per plane,
 //! [`coldtall_array::OrgGeometry::floors_at_temperature`] takes the
 //! componentwise minimum of read latency, read energy, standby power,
 //! footprint, and refresh-busy fraction over *every* candidate
@@ -552,7 +551,7 @@ mod tests {
         let outcome = explorer
             .search("study", &configs, &Constraints::none())
             .expect("the study set searches");
-        let exhaustive = explorer.sweep_configs(&configs);
+        let exhaustive = explorer.try_sweep_configs(&configs).expect("the study set sweeps");
         assert_eq!(outcome.frontier, pareto_front(&exhaustive));
         assert_eq!(
             outcome.stats.points_evaluated + outcome.stats.points_skipped,

@@ -3,7 +3,7 @@
 //!
 //! This crate is the CryoMEM-equivalent layer of the reproduction. The
 //! temperature-dependent device physics already lives in
-//! [`coldtall_tech`] and flows through the array engine; what remains —
+//! `coldtall-tech` and flows through the array engine; what remains —
 //! and what this crate provides — is the *system* side of cryogenic
 //! operation:
 //!
@@ -12,26 +12,14 @@
 //!   39.6x at 10 W scale),
 //! * the study's canonical temperature sweep (77 K to 387 K in ~50 K
 //!   steps),
-//! * convenience characterization of an array across temperatures with
-//!   the cryogenic voltage-scaling policy applied
-//!   ([`characterize_at`]),
 //! * a liquid-nitrogen bath thermal-budget check mirroring the paper's
 //!   discussion section.
 //!
 //! # Examples
 //!
 //! ```
-//! use coldtall_cryo::{characterize_at, CoolingSystem};
-//! use coldtall_array::{ArraySpec, Objective};
-//! use coldtall_cell::CellModel;
-//! use coldtall_tech::ProcessNode;
+//! use coldtall_cryo::CoolingSystem;
 //! use coldtall_units::{Kelvin, Watts};
-//!
-//! let node = ProcessNode::ptm_22nm_hp();
-//! let spec = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
-//! let cold = characterize_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct);
-//! let warm = characterize_at(&spec, Kelvin::REFERENCE, Objective::EnergyDelayProduct);
-//! assert!(cold.read_latency < warm.read_latency);
 //!
 //! // A watt of 77 K device power costs 10.65 W at the wall.
 //! let wall = CoolingSystem::Server100kW.wall_power(Watts::new(1.0), Kelvin::LN2);
@@ -42,48 +30,9 @@
 #![forbid(unsafe_code)]
 
 mod cooling;
-mod regime;
 mod sweep;
 mod thermal;
 
 pub use cooling::{overhead_for_capacity, CoolingSystem};
-pub use regime::OperatingRegime;
 pub use sweep::{study_temperatures, TemperatureSweep};
 pub use thermal::LnBath;
-
-use coldtall_array::{ArrayCharacterization, ArraySpec, Objective};
-use coldtall_units::Kelvin;
-
-/// Characterizes `spec` at temperature `t`, applying the cryogenic
-/// voltage-scaling policy when `t` is in the cryogenic regime.
-///
-/// This is the entry point the paper's Fig. 1 and Fig. 3 sweeps use: the
-/// same array, re-evaluated across operating temperatures.
-#[must_use]
-pub fn characterize_at(
-    spec: &ArraySpec,
-    t: Kelvin,
-    objective: Objective,
-) -> ArrayCharacterization {
-    spec.clone().at_temperature_cryo(t).characterize(objective)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use coldtall_cell::CellModel;
-    use coldtall_tech::ProcessNode;
-
-    #[test]
-    fn characterize_at_applies_cryo_policy_only_when_cold() {
-        let node = ProcessNode::ptm_22nm_hp();
-        let spec = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
-        let cold = characterize_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct);
-        let warm = characterize_at(&spec, Kelvin::REFERENCE, Objective::EnergyDelayProduct);
-        // Cryo dynamic energy is mildly lower (scaled Vdd), latency much lower.
-        assert!(cold.read_energy < warm.read_energy);
-        assert!(cold.read_energy.get() > warm.read_energy.get() * 0.8);
-        assert!(cold.read_latency.get() < warm.read_latency.get() * 0.35);
-        assert!(cold.leakage_power.get() < warm.leakage_power.get() * 1e-4);
-    }
-}

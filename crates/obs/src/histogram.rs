@@ -14,8 +14,9 @@
 //!   of recorded samples,
 //! * *lossless merge* — merging two histograms produces exactly the
 //!   histogram of the concatenated sample streams,
-//! * *monotone quantiles* — `quantile(p)` is non-decreasing in `p`, so
-//!   p50 ≤ p95 ≤ p99 by construction.
+//! * *monotone, bracketed quantiles* — `quantile(p)` is non-decreasing
+//!   in `p` and inside the observed `[min, max]`, so
+//!   min ≤ p50 ≤ p95 ≤ p99 ≤ max by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -128,7 +129,9 @@ impl Histogram {
     /// repairs. Non-decreasing in `q` (within a bucket the position is
     /// non-decreasing; across buckets each upper bound is below the
     /// next bucket's lower bound); always inside the rank's bucket
-    /// bounds; returns 0 when empty.
+    /// bounds and clamped to the observed `[min, max]`, since
+    /// interpolation alone can land past the extreme samples of the
+    /// first or last occupied bucket; returns 0 when empty.
     #[must_use]
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     pub fn quantile(&self, q: f64) -> u64 {
@@ -150,10 +153,14 @@ impl Histogram {
                 let width = (upper - lower) as f64;
                 let fraction = position as f64 / n as f64;
                 // `saturating_add` + the clamp absorb f64 rounding in
-                // the widest buckets (width > 2^53).
+                // the widest buckets (width > 2^53). `max` then `min`,
+                // not `clamp`: a concurrent `record` can briefly leave
+                // min above max, and this must not panic.
                 return lower
                     .saturating_add((width * fraction) as u64)
-                    .min(upper);
+                    .min(upper)
+                    .max(self.min())
+                    .min(self.max());
             }
         }
         self.max()
@@ -254,7 +261,7 @@ mod tests {
         assert!(p50 <= p95 && p95 <= p99, "p50={p50} p95={p95} p99={p99}");
         // A log2 bucket upper bound is at most 2x above the true value.
         assert!((500..=1023).contains(&p50), "p50={p50}");
-        assert!(h.quantile(1.0) >= 1000);
+        assert_eq!(h.quantile(1.0), h.max());
     }
 
     /// Regression (ISSUE 6): coarse log₂ buckets used to collapse every
@@ -278,8 +285,9 @@ mod tests {
     }
 
     /// Property: over a deterministic pseudo-random sample set, the
-    /// interpolated quantile is non-decreasing in `q` and always lies
-    /// inside its rank's bucket bounds.
+    /// interpolated quantile is non-decreasing in `q`, always lies
+    /// inside its rank's bucket bounds, and stays inside the observed
+    /// `[min, max]`.
     #[test]
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     fn interpolated_quantiles_are_monotone_and_bucket_bounded() {
@@ -322,6 +330,13 @@ mod tests {
                 "q={q}: estimate {estimate} escapes bucket {bucket}"
             );
         }
+        let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
+        assert!(
+            h.min() <= p50 && p50 <= p95 && p95 <= p99 && p99 <= h.max(),
+            "min={} p50={p50} p95={p95} p99={p99} max={}",
+            h.min(),
+            h.max()
+        );
     }
 
     #[test]

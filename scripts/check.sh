@@ -58,3 +58,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Documentation is part of the API surface: a broken intra-doc link or
 # an undocumented public item on the strict modules fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+# For information only, not a gate: the non-test line count that
+# CHANGES.md tracks change over change.
+echo "non-test Rust lines: $(scripts/loc.sh)"

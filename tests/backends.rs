@@ -26,8 +26,8 @@ use coldtall::array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall::cell::{CellModel, MemoryTechnology};
 use coldtall::core::pool;
 use coldtall::core::{
-    BackendCapabilities, BackendRegistry, CharacterizationBackend, CryoMemBackend, Error,
-    Explorer, MemoryConfig, SweepPlan,
+    BackendCapabilities, BackendRegistry, CharacterizationBackend, CryoMemBackend, DesignPointKey,
+    Error, Explorer, GeometryCache, MemoryConfig, SweepPlan,
 };
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
@@ -104,11 +104,15 @@ fn backend_dispatch_is_bit_identical_to_direct_lowering() {
 fn study_sweep_rows_identical_under_1_and_4_thread_pools() {
     let one = {
         let _pinned = PinnedPool::threads(1);
-        Explorer::with_defaults().sweep()
+        Explorer::with_defaults()
+            .try_sweep_configs(&MemoryConfig::study_set())
+            .expect("the study sweeps")
     };
     let four = {
         let _pinned = PinnedPool::threads(4);
-        Explorer::with_defaults().sweep()
+        Explorer::with_defaults()
+            .try_sweep_configs(&MemoryConfig::study_set())
+            .expect("the study sweeps")
     };
     assert_eq!(one.len(), MemoryConfig::study_set().len() * spec2017().len());
     assert_eq!(one, four, "sweep rows must not depend on the pool width");
@@ -358,18 +362,25 @@ impl CharacterizationBackend for MockBackend {
         )
     }
 
-    fn characterize(
+    fn characterize_batch(
         &self,
-        config: &MemoryConfig,
+        _geometry_key: &DesignPointKey,
+        configs: &[MemoryConfig],
         node: &ProcessNode,
         objective: Objective,
-    ) -> ArrayCharacterization {
-        let cell = CellModel::tentpole(config.technology(), config.tentpole(), node);
-        let mut array = ArraySpec::llc_16mib(cell, node)
-            .at_temperature_cryo(config.temperature())
-            .characterize(objective);
-        array.array_efficiency = MOCK_EFFICIENCY;
-        array
+        _geometries: &GeometryCache,
+    ) -> Vec<ArrayCharacterization> {
+        configs
+            .iter()
+            .map(|config| {
+                let cell = CellModel::tentpole(config.technology(), config.tentpole(), node);
+                let mut array = ArraySpec::llc_16mib(cell, node)
+                    .at_temperature_cryo(config.temperature())
+                    .characterize(objective);
+                array.array_efficiency = MOCK_EFFICIENCY;
+                array
+            })
+            .collect()
     }
 }
 

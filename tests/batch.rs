@@ -6,29 +6,28 @@
 //! geometry key, solve each geometry once, and fan the temperatures
 //! out over the cached candidate list. The contract under test:
 //!
-//! * rows are **bit-identical** to the per-point reference
-//!   ([`Explorer::execute_per_point`]), at any pool width,
+//! * rows are **bit-identical** to a loop of [`Explorer::evaluate`]
+//!   per grid cell on a fresh explorer, at any pool width,
 //! * the geometry cache records exactly one solve per distinct
 //!   geometry key (`perf_smoke`),
-//! * the organization optimizer's lower-bound prune never changes the
-//!   argmin (brute force over the full candidate grid), because the
-//!   bound is sound (`score_lower_bound <= score`, verified
-//!   exhaustively).
+//! * both production shapes of the organization search — the one-shot
+//!   [`ArraySpec::characterize`] and the temperature stripe
+//!   [`OrgGeometry::characterize_temps`] — pick exactly the array a
+//!   brute-force scan of every candidate picks ([`brute_force`], the
+//!   single scalar characterization oracle).
 
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use coldtall::array::{
-    optimize, score_lower_bound, ArrayCharacterization, ArraySpec, Objective, OrgGeometry,
-    Organization,
-};
+use coldtall::array::{ArrayCharacterization, ArraySpec, Objective, OrgGeometry, Organization};
 use coldtall_bench::timing::time_median_pair;
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
-use coldtall::core::{pool, DesignPointKey, Explorer, MemoryConfig};
-use coldtall::cryo::{characterize_at, study_temperatures};
+use coldtall::core::{pool, DesignPointKey, ExecutionPlan, Explorer, LlcEvaluation, MemoryConfig};
+use coldtall::cryo::study_temperatures;
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
-use coldtall::units::Capacity;
+use coldtall::units::Kelvin;
+use coldtall::workloads::spec2017;
 
 /// Tests that force a pool width share the process-global override.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -71,21 +70,39 @@ fn observed_explorer(registry: &Registry) -> Explorer {
     )
 }
 
-/// Runs the per-point reference and both batched paths over the full
+/// The row-level oracle: [`Explorer::evaluate`] per (configuration,
+/// benchmark) cell, row-major, on a fresh explorer (cold caches, every
+/// characterization a scalar miss).
+fn per_point_rows(configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
+    let registry = Registry::new();
+    let explorer = observed_explorer(&registry);
+    configs
+        .iter()
+        .flat_map(|config| spec2017().iter().map(|b| explorer.evaluate(config, b)))
+        .collect()
+}
+
+/// Compiles `configs` on a fresh explorer and runs the plan with
+/// `execute`.
+fn run_plan(
+    configs: &[MemoryConfig],
+    execute: fn(&Explorer, &ExecutionPlan) -> Vec<LlcEvaluation>,
+) -> Vec<LlcEvaluation> {
+    let registry = Registry::new();
+    let explorer = observed_explorer(&registry);
+    let plan = explorer.plan_sweep(configs).expect("study configs resolve");
+    execute(&explorer, &plan)
+}
+
+/// Runs the per-point oracle and both batched paths over the full
 /// study x temperature grid on `threads` pool threads, each on a fresh
 /// explorer (cold caches), and asserts the rows are bit-identical.
 fn assert_batched_paths_bit_identical(threads: usize) {
     let _pinned = PinnedPool::threads(threads);
     let configs = expanded_study();
-    let run = |execute: fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
-        let registry = Registry::new();
-        let explorer = observed_explorer(&registry);
-        let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
-        execute(&explorer, &plan)
-    };
-    let per_point = run(Explorer::execute_per_point);
-    let batched = run(Explorer::execute);
-    let batched_par = run(Explorer::execute_par);
+    let per_point = per_point_rows(&configs);
+    let batched = run_plan(&configs, Explorer::execute);
+    let batched_par = run_plan(&configs, Explorer::execute_par);
     assert_eq!(
         per_point, batched,
         "batched execution must be bit-identical to per-point at {threads} threads"
@@ -162,8 +179,8 @@ fn perf_smoke() {
 
 /// The characterization-kernel perf gate: against pre-solved
 /// geometries (the warm-start steady state) the SoA multi-temperature
-/// stripe must be strictly faster per dispatch than the per-point
-/// oracle, while staying bit-identical. Interleaved median timing, so
+/// stripe must be strictly faster per dispatch than one-shot
+/// characterization of each point, while staying bit-identical. Interleaved median timing, so
 /// a one-off scheduler hiccup lands on both sides alike (the same
 /// discipline as the eval-kernel gate); the wall-clock margin in the
 /// bench harness is ≥3x, so a strict inequality here has headroom.
@@ -209,7 +226,7 @@ fn multi_temperature_stripe_is_faster_than_per_point() {
     assert_eq!(
         per_point(),
         stripe(),
-        "the stripe must stay bit-identical to the per-point oracle"
+        "the stripe must stay bit-identical to one-shot characterization"
     );
     let (point, batched) = time_median_pair(("per_point", "stripe"), 9, per_point, stripe);
     assert!(
@@ -224,7 +241,7 @@ fn multi_temperature_stripe_is_faster_than_per_point() {
 /// Plans below the fan-out threshold must take the inline path inside
 /// [`Explorer::execute_par`] — observable only through the
 /// process-global `pool.inline_plans` counter — and stay bit-identical
-/// to both the sequential batched path and the per-point reference.
+/// to both the sequential batched path and the per-point oracle.
 #[test]
 fn small_plans_run_inline_and_stay_bit_identical() {
     // A wide pool makes the fallback meaningful: fan-out is available
@@ -233,16 +250,14 @@ fn small_plans_run_inline_and_stay_bit_identical() {
     let configs = MemoryConfig::study_set();
     let inline_plans = |registry: &Registry| registry.counter_value("pool.inline_plans");
 
-    let run = |execute: fn(&Explorer, &coldtall::core::ExecutionPlan) -> Vec<_>| {
-        let registry = Registry::new();
-        let explorer = observed_explorer(&registry);
-        let plan = explorer.plan_sweep(&configs).expect("study configs resolve");
-        assert!(
-            plan.jobs().len() < 64,
-            "the bare study set must sit below the inline threshold"
-        );
-        execute(&explorer, &plan)
-    };
+    let registry = Registry::new();
+    let plan = observed_explorer(&registry)
+        .plan_sweep(&configs)
+        .expect("study configs resolve");
+    assert!(
+        plan.jobs().len() < 64,
+        "the bare study set must sit below the inline threshold"
+    );
 
     // `pool.inline_plans` feeds the process-global registry (the path
     // taken is a scheduling fact, not per-explorer logical work), so
@@ -250,28 +265,29 @@ fn small_plans_run_inline_and_stay_bit_identical() {
     // asserting a lower bound on the delta.
     let global = coldtall::obs::global();
     let before = inline_plans(global).unwrap_or(0);
-    let pooled = run(Explorer::execute_par);
+    let pooled = run_plan(&configs, Explorer::execute_par);
     let after = inline_plans(global).unwrap_or(0);
     assert!(
         after > before,
         "a sub-threshold plan must bump pool.inline_plans ({before} -> {after})"
     );
 
-    let sequential = run(Explorer::execute);
-    let per_point = run(Explorer::execute_per_point);
+    let sequential = run_plan(&configs, Explorer::execute);
+    let per_point = per_point_rows(&configs);
     assert_eq!(
         pooled, sequential,
         "the inline fallback must be bit-identical to the sequential batched path"
     );
     assert_eq!(
         sequential, per_point,
-        "batched execution must stay bit-identical to the per-point reference"
+        "batched execution must stay bit-identical to the per-point oracle"
     );
 }
 
-/// Brute-force argmin over the full candidate grid, replicating the
-/// optimizer's feasibility rule and first-wins tie semantics — but
-/// with no pruning and no shared device context.
+/// The scalar characterization oracle: every feasible candidate
+/// characterized in full ([`ArrayCharacterization::evaluate`]), first
+/// strict minimum of [`Objective::score`] wins — no columns, no shared
+/// device context.
 fn brute_force(spec: &ArraySpec, objective: Objective) -> ArrayCharacterization {
     let per_die = spec.capacity().bits_f64() * spec.storage_overhead() / f64::from(spec.dies());
     let mut best: Option<(f64, ArrayCharacterization)> = None;
@@ -289,84 +305,81 @@ fn brute_force(spec: &ArraySpec, objective: Objective) -> ArrayCharacterization 
     best.expect("at least one feasible organization").1
 }
 
-/// Specs spanning the regimes the prune sees: the 350 K baseline, a
-/// cryogenic operating point, a refresh-bearing cell, and a stacked
-/// spec small enough that the feasibility filter actually removes
-/// candidates.
-fn prune_specs() -> Vec<ArraySpec> {
-    let node = ProcessNode::ptm_22nm_hp();
-    let sram = ArraySpec::llc_16mib(CellModel::sram(&node), &node);
-    let edram = ArraySpec::llc_16mib(
-        CellModel::tentpole(MemoryTechnology::Edram3T, Tentpole::Optimistic, &node),
-        &node,
-    );
-    vec![
-        sram.clone(),
-        sram.clone().at_temperature_cryo(coldtall::units::Kelvin::LN2),
-        edram,
-        sram.with_capacity(Capacity::from_mebibytes(1)).with_dies(8),
-    ]
-}
+const OBJECTIVES: [Objective; 5] = [
+    Objective::EnergyDelayProduct,
+    Objective::ReadLatency,
+    Objective::ReadEnergy,
+    Objective::Area,
+    Objective::StandbyPower,
+];
 
-#[test]
-fn prune_never_changes_the_argmin() {
-    for spec in prune_specs() {
-        for objective in [
-            Objective::EnergyDelayProduct,
-            Objective::ReadLatency,
-            Objective::ReadEnergy,
-            Objective::Area,
-            Objective::StandbyPower,
-        ] {
-            assert_eq!(
-                optimize(&spec, objective),
-                brute_force(&spec, objective),
-                "pruned search diverged from brute force for {objective}"
-            );
+const TECHNOLOGIES: [MemoryTechnology; 7] = [
+    MemoryTechnology::Sram,
+    MemoryTechnology::Edram3T,
+    MemoryTechnology::Edram1T1C,
+    MemoryTechnology::Pcm,
+    MemoryTechnology::SttRam,
+    MemoryTechnology::Rram,
+    MemoryTechnology::SotRam,
+];
+
+/// Every technology x tentpole x die count as a temperature-free base
+/// spec (14 x 4 = 56 geometries; with the 8 study temperatures and 5
+/// objectives, 2,240 characterizations per shape).
+fn base_specs() -> Vec<ArraySpec> {
+    let node = ProcessNode::ptm_22nm_hp();
+    let mut specs = Vec::new();
+    for tech in TECHNOLOGIES {
+        for tentpole in Tentpole::BOTH {
+            for dies in [1, 2, 4, 8] {
+                let cell = CellModel::tentpole(tech, tentpole, &node);
+                specs.push(ArraySpec::llc_16mib(cell, &node).with_dies(dies));
+            }
         }
     }
+    specs
 }
 
+/// The one-shot shape at the spec's own operating point, under both
+/// voltage policies a spec can carry (nominal and cryogenic).
 #[test]
-fn lower_bound_is_sound_for_every_candidate() {
-    for spec in prune_specs() {
-        for objective in [
-            Objective::EnergyDelayProduct,
-            Objective::ReadLatency,
-            Objective::ReadEnergy,
-            Objective::Area,
-            Objective::StandbyPower,
-        ] {
-            for org in Organization::candidates() {
-                let bound = score_lower_bound(&spec, org, objective);
-                let score = objective.score(&ArrayCharacterization::evaluate(&spec, org));
-                assert!(
-                    bound <= score,
-                    "bound {bound} exceeds score {score} for {org:?} under {objective}"
-                );
+fn one_shot_characterize_matches_brute_force() {
+    for base in base_specs() {
+        for &t in study_temperatures() {
+            for spec in [
+                base.clone().at_temperature(t),
+                base.clone().at_temperature_cryo(t),
+            ] {
+                for objective in OBJECTIVES {
+                    assert_eq!(
+                        spec.characterize(objective),
+                        brute_force(&spec, objective),
+                        "one-shot search diverged from brute force at {t} for {objective}"
+                    );
+                }
             }
         }
     }
 }
 
-/// Phase 2 against the one-shot reference: re-scoring a cached
-/// geometry at a temperature must equal characterizing the base spec
-/// at that temperature from scratch.
+/// The stripe shape: one solve per base spec, every study temperature
+/// in one call, each entry equal to brute force on the cryo-policy
+/// spec at that temperature.
 #[test]
-fn apply_temperature_matches_characterize_at() {
-    let node = ProcessNode::ptm_22nm_hp();
-    let objective = Objective::EnergyDelayProduct;
-    for cell in [
-        CellModel::sram(&node),
-        CellModel::tentpole(MemoryTechnology::Edram3T, Tentpole::Optimistic, &node),
-    ] {
-        let spec = ArraySpec::llc_16mib(cell, &node);
-        let geometry = OrgGeometry::solve(&spec);
-        for &t in study_temperatures() {
-            assert_eq!(
-                geometry.apply_temperature(t, objective),
-                characterize_at(&spec, t, objective)
-            );
+fn characterize_temps_matches_brute_force_at_every_study_temperature() {
+    let temps: Vec<Kelvin> = study_temperatures().to_vec();
+    for base in base_specs() {
+        let geometry = OrgGeometry::solve(&base);
+        for objective in OBJECTIVES {
+            let stripe = geometry.characterize_temps(&temps, objective);
+            assert_eq!(stripe.len(), temps.len());
+            for (&t, array) in temps.iter().zip(&stripe) {
+                assert_eq!(
+                    *array,
+                    brute_force(&base.clone().at_temperature_cryo(t), objective),
+                    "stripe diverged from brute force at {t} for {objective}"
+                );
+            }
         }
     }
 }

@@ -18,7 +18,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use coldtall::array::Objective;
-use coldtall::core::{pool, Explorer, MemoryConfig};
+use coldtall::core::{pool, Explorer, LlcEvaluation, MemoryConfig};
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 
@@ -31,6 +31,16 @@ fn observed_explorer(registry: &Registry) -> Explorer {
         Objective::EnergyDelayProduct,
         registry,
     )
+}
+
+/// The pooled sweep: plan, then [`Explorer::execute_par`].
+fn par_sweep(explorer: &Explorer, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
+    explorer.execute_par(&explorer.plan_sweep(configs).expect("configs resolve"))
+}
+
+/// The sequential reference sweep: plan, then [`Explorer::execute`].
+fn seq_sweep(explorer: &Explorer, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
+    explorer.execute(&explorer.plan_sweep(configs).expect("configs resolve"))
 }
 
 fn small_config_set() -> Vec<MemoryConfig> {
@@ -47,10 +57,10 @@ fn hits_plus_misses_equals_characterization_calls() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
     let configs = small_config_set();
-    let _ = explorer.sweep_configs(&configs);
+    let _ = par_sweep(&explorer, &configs);
     // A second sweep re-probes everything as hits; the identity must
     // keep holding.
-    let _ = explorer.sweep_configs(&configs);
+    let _ = par_sweep(&explorer, &configs);
 
     let hits = registry.counter_value("cache.hits").expect("hits registered");
     let misses = registry.counter_value("cache.misses").expect("misses registered");
@@ -68,7 +78,7 @@ fn counters_identical_between_sequential_and_parallel_sweeps() {
     let configs = small_config_set();
 
     let seq_registry = Registry::new();
-    let seq_rows = observed_explorer(&seq_registry).sweep_configs_seq(&configs);
+    let seq_rows = seq_sweep(&observed_explorer(&seq_registry), &configs);
 
     // Force real workers for the parallel side, so the contract is
     // exercised across threads even on a 1-CPU host.
@@ -76,7 +86,7 @@ fn counters_identical_between_sequential_and_parallel_sweeps() {
     let par_rows = {
         let _lock = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         pool::set_max_threads(4);
-        let rows = observed_explorer(&par_registry).par_sweep_configs(&configs);
+        let rows = par_sweep(&observed_explorer(&par_registry), &configs);
         pool::set_max_threads(0);
         rows
     };
@@ -108,7 +118,7 @@ fn backend_counters_attribute_every_dispatch() {
     let explorer = observed_explorer(&registry);
     // The small set is all single-die volatile: everything routes to
     // CryoMEM, and Destiny's counter registers but never moves.
-    let _ = explorer.sweep_configs(&small_config_set());
+    let _ = par_sweep(&explorer, &small_config_set());
     let misses = registry.counter_value("cache.misses").unwrap();
     let cryomem = registry
         .counter_value("backend.cryomem.characterizations")
@@ -150,12 +160,12 @@ fn backend_counters_attribute_every_dispatch() {
 fn backend_counters_identical_between_sequential_and_parallel_sweeps() {
     let configs = small_config_set();
     let seq_registry = Registry::new();
-    let _ = observed_explorer(&seq_registry).sweep_configs_seq(&configs);
+    let _ = seq_sweep(&observed_explorer(&seq_registry), &configs);
     let par_registry = Registry::new();
     {
         let _lock = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         pool::set_max_threads(4);
-        let _ = observed_explorer(&par_registry).par_sweep_configs(&configs);
+        let _ = par_sweep(&observed_explorer(&par_registry), &configs);
         pool::set_max_threads(0);
     }
     for name in [
@@ -175,7 +185,7 @@ fn characterization_span_counts_only_real_work() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
     let configs = small_config_set();
-    let _ = explorer.sweep_configs(&configs);
+    let _ = par_sweep(&explorer, &configs);
     let span = registry.span("characterize");
     assert_eq!(
         span.count(),
@@ -207,7 +217,7 @@ fn characterization_span_counts_only_real_work() {
 fn histogram_quantiles_are_monotone() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
-    let _ = explorer.sweep_configs(&small_config_set());
+    let _ = par_sweep(&explorer, &small_config_set());
     for name in ["characterize", "evaluate", "sweep"] {
         let span = registry.span(name);
         let (p50, p95, p99) = (span.quantile(0.50), span.quantile(0.95), span.quantile(0.99));
@@ -223,7 +233,7 @@ fn histogram_quantiles_are_monotone() {
 fn reset_zeroes_every_counter_gauge_and_span() {
     let registry = Registry::new();
     let explorer = observed_explorer(&registry);
-    let _ = explorer.sweep_configs(&small_config_set());
+    let _ = par_sweep(&explorer, &small_config_set());
     assert!(registry.counter_value("cache.hits").unwrap() > 0);
 
     registry.reset();

@@ -9,13 +9,19 @@
 use coldtall::array::{ArrayCharacterization, ArraySpec, Objective};
 use coldtall::cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall::core::{Explorer, MemoryConfig};
-use coldtall::cryo::{characterize_at, study_temperatures, CoolingSystem};
+use coldtall::cryo::{study_temperatures, CoolingSystem};
 use coldtall::tech::ProcessNode;
 use coldtall::units::Kelvin;
 use coldtall::workloads::{benchmark, spec2017, TrafficBand};
 
 fn node() -> ProcessNode {
     ProcessNode::ptm_22nm_hp()
+}
+
+/// `spec` characterized at `t` under the cryogenic voltage-scaling
+/// policy (the policy every temperature sweep of the study applies).
+fn cryo_at(spec: &ArraySpec, t: Kelvin, objective: Objective) -> ArrayCharacterization {
+    spec.clone().at_temperature_cryo(t).characterize(objective)
 }
 
 fn sram_baseline() -> ArrayCharacterization {
@@ -66,7 +72,7 @@ fn fig3_dynamic_energy_varies_about_ten_percent_with_temperature() {
     let spec = ArraySpec::llc_16mib(CellModel::sram(&n), &n);
     let base = sram_baseline();
     for &t in study_temperatures() {
-        let a = characterize_at(&spec, t, Objective::EnergyDelayProduct);
+        let a = cryo_at(&spec, t, Objective::EnergyDelayProduct);
         let rel = a.read_energy_per_bit() / base.read_energy_per_bit();
         assert!(
             (0.85..=1.15).contains(&rel),
@@ -80,7 +86,7 @@ fn fig3_cryo_latency_is_about_70_percent_lower() {
     let n = node();
     let spec = ArraySpec::llc_16mib(CellModel::sram(&n), &n);
     let base = sram_baseline();
-    let cold = characterize_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct);
+    let cold = cryo_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct);
     let rel = cold.read_latency / base.read_latency;
     assert!((0.2..=0.4).contains(&rel), "77K latency ratio = {rel}");
 }
@@ -90,7 +96,7 @@ fn fig3_cryo_leakage_collapses_about_a_million_fold() {
     let n = node();
     let spec = ArraySpec::llc_16mib(CellModel::sram(&n), &n);
     let base = sram_baseline();
-    let cold = characterize_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct);
+    let cold = cryo_at(&spec, Kelvin::LN2, Objective::EnergyDelayProduct);
     let rel = cold.leakage_power / base.leakage_power;
     assert!(
         (1e-7..=1e-5).contains(&rel),
@@ -105,14 +111,14 @@ fn fig3_edram_leakage_gap_grows_from_10x_to_beyond() {
     let edram = ArraySpec::llc_16mib(CellModel::edram_3t(&n), &n);
     let obj = Objective::EnergyDelayProduct;
     let gap = |t: Kelvin| {
-        characterize_at(&sram, t, obj).leakage_power
-            / characterize_at(&edram, t, obj).leakage_power.get().max(1e-30)
+        cryo_at(&sram, t, obj).leakage_power
+            / cryo_at(&edram, t, obj).leakage_power.get().max(1e-30)
             / 1.0
     };
-    let gap_cold = characterize_at(&sram, Kelvin::LN2, obj).leakage_power.get()
-        / characterize_at(&edram, Kelvin::LN2, obj).leakage_power.get();
-    let gap_hot = characterize_at(&sram, Kelvin::TDP, obj).leakage_power.get()
-        / characterize_at(&edram, Kelvin::TDP, obj).leakage_power.get();
+    let gap_cold = cryo_at(&sram, Kelvin::LN2, obj).leakage_power.get()
+        / cryo_at(&edram, Kelvin::LN2, obj).leakage_power.get();
+    let gap_hot = cryo_at(&sram, Kelvin::TDP, obj).leakage_power.get()
+        / cryo_at(&edram, Kelvin::TDP, obj).leakage_power.get();
     let _ = gap;
     assert!((5.0..=25.0).contains(&gap_cold), "77K gap = {gap_cold}");
     assert!(gap_hot > 2.0 * gap_cold, "gap must widen: {gap_cold} -> {gap_hot}");
@@ -124,7 +130,7 @@ fn fig3_leakage_rises_monotonically_with_temperature() {
     let spec = ArraySpec::llc_16mib(CellModel::sram(&n), &n);
     let mut prev = -1.0;
     for &t in study_temperatures() {
-        let leak = characterize_at(&spec, t, Objective::EnergyDelayProduct)
+        let leak = cryo_at(&spec, t, Objective::EnergyDelayProduct)
             .leakage_power
             .get();
         assert!(leak > prev, "leakage must rise with temperature at {t}");
@@ -137,8 +143,8 @@ fn fig3_edram_retention_collapses_refresh_at_77k_only() {
     let n = node();
     let spec = ArraySpec::llc_16mib(CellModel::edram_3t(&n), &n);
     let obj = Objective::EnergyDelayProduct;
-    let cold = characterize_at(&spec, Kelvin::LN2, obj);
-    let warm = characterize_at(&spec, Kelvin::ROOM, obj);
+    let cold = cryo_at(&spec, Kelvin::LN2, obj);
+    let warm = cryo_at(&spec, Kelvin::ROOM, obj);
     // Paper: 300 K 3T-eDRAM cannot run ordinary workloads (94% IPC
     // reduction); 77 K retention is >10,000x longer and refresh-free.
     assert!(warm.refresh_busy_fraction > 0.9);

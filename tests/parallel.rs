@@ -3,8 +3,18 @@
 //! sequential references, and the sharded characterization cache's
 //! convergence under contention.
 
-use coldtall::core::{pool, Explorer, MemoryConfig};
+use coldtall::core::{pool, Explorer, LlcEvaluation, MemoryConfig};
 use coldtall::workloads::spec2017;
+
+/// The pooled sweep: plan, then [`Explorer::execute_par`].
+fn par_sweep(explorer: &Explorer, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
+    explorer.execute_par(&explorer.plan_sweep(configs).expect("configs resolve"))
+}
+
+/// The sequential reference sweep: plan, then [`Explorer::execute`].
+fn seq_sweep(explorer: &Explorer, configs: &[MemoryConfig]) -> Vec<LlcEvaluation> {
+    explorer.execute(&explorer.plan_sweep(configs).expect("configs resolve"))
+}
 
 /// Compile-time proof the explorer can be shared across threads.
 #[test]
@@ -23,8 +33,8 @@ fn par_sweep_matches_sequential_over_full_study() {
     pool::set_max_threads(4);
     let configs = MemoryConfig::study_set();
     let explorer = Explorer::with_defaults();
-    let par = explorer.par_sweep_configs(&configs);
-    let seq = explorer.sweep_configs_seq(&configs);
+    let par = par_sweep(&explorer, &configs);
+    let seq = seq_sweep(&explorer, &configs);
     pool::set_max_threads(0);
     assert_eq!(par.len(), configs.len() * spec2017().len());
     assert_eq!(par, seq, "parallel sweep diverged from sequential");
@@ -41,8 +51,8 @@ fn cold_cache_sweeps_agree() {
         MemoryConfig::edram_350k(),
         MemoryConfig::edram_77k(),
     ];
-    let par = Explorer::with_defaults().par_sweep_configs(&configs);
-    let seq = Explorer::with_defaults().sweep_configs_seq(&configs);
+    let par = par_sweep(&Explorer::with_defaults(), &configs);
+    let seq = seq_sweep(&Explorer::with_defaults(), &configs);
     assert_eq!(par, seq);
 }
 
@@ -53,8 +63,10 @@ fn default_sweep_is_path_independent() {
     let configs = [MemoryConfig::sram_350k(), MemoryConfig::edram_77k()];
     let explorer = Explorer::with_defaults();
     assert_eq!(
-        explorer.sweep_configs(&configs),
-        explorer.sweep_configs_seq(&configs)
+        explorer
+            .try_sweep_configs(&configs)
+            .expect("sweep is NaN-free"),
+        seq_sweep(&explorer, &configs)
     );
 }
 
