@@ -19,7 +19,7 @@ use crate::config::MemoryConfig;
 use crate::error::Error;
 use crate::evaluate::{device_power, row_values, service_time, LlcEvaluation};
 use crate::lifetime::lifetime_years;
-use crate::parcache::{CacheConfig, CacheMetrics, GeometryCache, ShardedCache};
+use crate::parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
 use crate::pareto::Constraints;
 use crate::plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 use crate::pool;
@@ -349,13 +349,17 @@ impl Explorer {
         self.cache.metrics()
     }
 
-    /// A point-in-time snapshot of every memoized characterization,
-    /// sorted by canonical key. This is what the serve frontend's run
-    /// registry persists: the pairs round-trip bit-identically through
-    /// [`Explorer::import_characterization`].
+    /// Every characterization memoized after `cursor`, sorted by
+    /// canonical key, plus the cursor to pass next time
+    /// ([`CacheCursor::START`] returns the whole cache). This is what
+    /// the serve frontend's run registry persists: the pairs round-trip
+    /// bit-identically through [`Explorer::import_characterization`].
     #[must_use]
-    pub fn cached_entries(&self) -> Vec<(DesignPointKey, ArrayCharacterization)> {
-        self.cache.snapshot()
+    pub fn cached_entries_since(
+        &self,
+        cursor: CacheCursor,
+    ) -> (Vec<(DesignPointKey, ArrayCharacterization)>, CacheCursor) {
+        self.cache.entries_since(cursor)
     }
 
     /// Publishes an externally produced characterization (a run-registry

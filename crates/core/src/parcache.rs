@@ -30,9 +30,14 @@
 //! recomputed. Counting is a pair of relaxed atomic adds per probe;
 //! caches built with [`ShardedCache::new`] count into free-floating
 //! counters that no exporter ever reads.
+//!
+//! Every landed publication also takes the next number of the cache's
+//! publication sequence, inside the shard write lock, so a persister
+//! can ask for just the entries published since it last looked
+//! ([`ShardedCache::entries_since`]) instead of walking the whole map.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use coldtall_array::OrgGeometry;
@@ -283,14 +288,43 @@ impl CacheMetrics {
     }
 }
 
+/// Source of process-unique cache identities. Zero is never handed
+/// out: it is the identity of [`CacheCursor::START`], which therefore
+/// matches no cache.
+static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// A position in one cache's publication sequence: what
+/// [`ShardedCache::entries_since`] returns and takes back on the next
+/// call.
+///
+/// Opaque. It names the cache it was taken from, so a cursor presented
+/// to any other cache (another explorer, a rebuilt one) reads as
+/// [`CacheCursor::START`] there and the next call returns everything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheCursor {
+    cache: u64,
+    seq: u64,
+}
+
+impl CacheCursor {
+    /// Before every publication of every cache: `entries_since(START)`
+    /// is the full sorted contents.
+    pub const START: Self = Self { cache: 0, seq: 0 };
+}
+
 /// A concurrent memo table keyed by [`DesignPointKey`] with `SHARDS`
 /// lock stripes.
 ///
 /// Values are cloned out; `V` is expected to be a plain data record
-/// (the explorer stores `ArrayCharacterization`).
+/// (the explorer stores `ArrayCharacterization`). Each value is stored
+/// beside its publication sequence number.
 #[derive(Debug)]
 pub struct ShardedCache<V> {
-    shards: Vec<RwLock<HashMap<DesignPointKey, V>>>,
+    shards: Vec<RwLock<HashMap<DesignPointKey, (u64, V)>>>,
+    /// Process-unique identity, recorded in every [`CacheCursor`].
+    id: u64,
+    /// Landed publications so far; the last sequence number handed out.
+    published: AtomicU64,
     metrics: CacheMetrics,
     /// Admission cap over all stripes; `None` is unbounded. The count
     /// is read outside the stripe being written, so concurrent inserts
@@ -330,6 +364,8 @@ impl<V: Clone> ShardedCache<V> {
     pub fn with_metrics_and_cap(metrics: CacheMetrics, cap: Option<usize>) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
+            published: AtomicU64::new(0),
             metrics,
             cap,
             entry_count: AtomicUsize::new(0),
@@ -366,7 +402,7 @@ impl<V: Clone> ShardedCache<V> {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(key)
-            .cloned();
+            .map(|(_, value)| value.clone());
         if found.is_some() {
             self.metrics.hit(stripe);
         } else {
@@ -404,7 +440,8 @@ impl<V: Clone> ShardedCache<V> {
     /// The publication path shared by [`ShardedCache::insert`] and
     /// [`ShardedCache::get_or_insert_with`]: first landed value wins,
     /// the admission cap refuses (never evicts), and the entry/byte
-    /// gauges track landed publications.
+    /// gauges track landed publications. A landed value takes the next
+    /// publication sequence number while the shard write lock is held.
     fn publish(&self, key: &DesignPointKey, value: V) -> V {
         let stripe = Self::shard_index(key);
         match self.shards[stripe]
@@ -412,7 +449,7 @@ impl<V: Clone> ShardedCache<V> {
             .unwrap_or_else(PoisonError::into_inner)
             .entry(key.clone())
         {
-            std::collections::hash_map::Entry::Occupied(existing) => existing.get().clone(),
+            std::collections::hash_map::Entry::Occupied(existing) => existing.get().1.clone(),
             std::collections::hash_map::Entry::Vacant(slot) => {
                 if let Some(cap) = self.cap {
                     if self.entry_count.load(Ordering::Relaxed) >= cap {
@@ -426,7 +463,8 @@ impl<V: Clone> ShardedCache<V> {
                 self.metrics.entries.set(count as u64);
                 self.metrics.approx_bytes.set(bytes as u64);
                 self.metrics.insert(stripe);
-                slot.insert(value).clone()
+                let seq = self.published.fetch_add(1, Ordering::SeqCst) + 1;
+                slot.insert((seq, value)).1.clone()
             }
         }
     }
@@ -441,25 +479,42 @@ impl<V: Clone> ShardedCache<V> {
             + std::mem::size_of::<V>()
     }
 
-    /// A point-in-time snapshot of every cached entry, sorted by
-    /// canonical key so the order is deterministic regardless of shard
-    /// layout or insertion interleaving. Used by the run registry to
-    /// persist warm cache contents.
+    /// Every entry published after `cursor`, sorted by canonical key so
+    /// the order is deterministic regardless of shard layout or
+    /// insertion interleaving, plus the cursor to pass next time.
+    /// [`CacheCursor::START`] (or a cursor from another cache) returns
+    /// the full contents. The persistent stores call this after every
+    /// request, so a sync costs the new entries, not the cache.
+    ///
+    /// The publication counter is read *before* the shards are
+    /// scanned, and only entries numbered at or below that reading are
+    /// returned. A publication racing the scan is therefore either
+    /// returned now or numbered above the returned cursor and returned
+    /// by the next call, never skipped: its number is taken under the
+    /// shard write lock, so an entry numbered at or below the reading
+    /// was in its shard before the scan could lock that shard.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<(DesignPointKey, V)> {
-        let mut all: Vec<(DesignPointKey, V)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by(|a, b| a.0.canonical().cmp(b.0.canonical()));
-        all
+    pub fn entries_since(&self, cursor: CacheCursor) -> (Vec<(DesignPointKey, V)>, CacheCursor) {
+        let after = if cursor.cache == self.id { cursor.seq } else { 0 };
+        let upto = self.published.load(Ordering::SeqCst);
+        let mut fresh = Vec::new();
+        if upto > after {
+            for shard in &self.shards {
+                let shard = shard.read().unwrap_or_else(PoisonError::into_inner);
+                fresh.extend(
+                    shard
+                        .iter()
+                        .filter(|(_, (seq, _))| after < *seq && *seq <= upto)
+                        .map(|(key, (_, value))| (key.clone(), value.clone())),
+                );
+            }
+            fresh.sort_by(|a, b| a.0.canonical().cmp(b.0.canonical()));
+        }
+        let next = CacheCursor {
+            cache: self.id,
+            seq: upto,
+        };
+        (fresh, next)
     }
 
     /// Total entries across all shards.
@@ -565,12 +620,16 @@ impl GeometryCache {
         self.cache.insert(key, Arc::new(geometry))
     }
 
-    /// A point-in-time snapshot of every cached geometry, sorted by
-    /// canonical key — what the persistent warm-start store writes
-    /// after a sweep.
+    /// Every geometry published after `cursor`, sorted by canonical
+    /// key, plus the cursor to pass next time — what the persistent
+    /// warm-start store appends after a sweep or request. See
+    /// [`ShardedCache::entries_since`].
     #[must_use]
-    pub fn snapshot(&self) -> Vec<(DesignPointKey, Arc<OrgGeometry>)> {
-        self.cache.snapshot()
+    pub fn entries_since(
+        &self,
+        cursor: CacheCursor,
+    ) -> (Vec<(DesignPointKey, Arc<OrgGeometry>)>, CacheCursor) {
+        self.cache.entries_since(cursor)
     }
 
     /// Number of geometry solves that actually ran.
@@ -814,17 +873,44 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_complete() {
+    fn entries_since_start_is_sorted_and_complete() {
         let cache: ShardedCache<usize> = ShardedCache::new();
         for i in 0..25 {
             let _ = cache.insert(&key(&format!("point-{i:02}")), i);
         }
-        let snap = cache.snapshot();
-        assert_eq!(snap.len(), 25);
-        let canon: Vec<&str> = snap.iter().map(|(k, _)| k.canonical()).collect();
+        let (all, _) = cache.entries_since(CacheCursor::START);
+        assert_eq!(all.len(), 25);
+        let canon: Vec<&str> = all.iter().map(|(k, _)| k.canonical()).collect();
         let mut sorted = canon.clone();
         sorted.sort_unstable();
-        assert_eq!(canon, sorted, "snapshot must be canonically ordered");
+        assert_eq!(canon, sorted, "entries must be canonically ordered");
+    }
+
+    #[test]
+    fn entries_since_returns_only_later_publications() {
+        let cache: ShardedCache<usize> = ShardedCache::new();
+        let _ = cache.insert(&key("b"), 1);
+        let (first, cursor) = cache.entries_since(CacheCursor::START);
+        assert_eq!(first.len(), 1);
+        assert!(cache.entries_since(cursor).0.is_empty(), "nothing new");
+
+        // A hit and a losing publication race publish nothing.
+        let _ = cache.get(&key("b"));
+        let _ = cache.insert(&key("b"), 2);
+        assert!(cache.entries_since(cursor).0.is_empty());
+
+        let _ = cache.insert(&key("c"), 3);
+        let _ = cache.insert(&key("a"), 4);
+        let (fresh, next) = cache.entries_since(cursor);
+        let canon: Vec<&str> = fresh.iter().map(|(k, _)| k.canonical()).collect();
+        assert_eq!(canon, ["synthetic|a", "synthetic|c"]);
+        assert!(cache.entries_since(next).0.is_empty());
+
+        // A cursor taken from another cache restarts from the beginning.
+        let other: ShardedCache<usize> = ShardedCache::new();
+        let _ = other.insert(&key("z"), 9);
+        let (_, foreign) = other.entries_since(CacheCursor::START);
+        assert_eq!(cache.entries_since(foreign).0.len(), 3);
     }
 
     #[test]

@@ -24,15 +24,16 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use coldtall_array::{geometry_code_epoch, Geometry, Organization, OrgGeometry};
-use coldtall_core::{DesignPointKey, Explorer, MemoryConfig};
+use coldtall_core::{CacheCursor, DesignPointKey, Explorer, MemoryConfig};
 use coldtall_obs::json::{self, Value};
 
 use crate::proto::escape;
+use crate::registry::open_regular;
 
 /// The geometry-record schema this build writes and replays. Bump when
 /// the field set changes; replay skips records from other versions.
@@ -50,11 +51,26 @@ pub struct WarmStats {
     pub skipped: u64,
 }
 
-/// Internal mutable state: the append handle and the dedup set of
-/// canonical geometry keys already on disk under the current epoch.
+/// Internal mutable state: the append handle, the dedup set of
+/// canonical geometry keys already on disk under the current epoch, and
+/// how far into an explorer's geometry cache [`GeometryStore::sync_from`]
+/// has persisted everything.
 struct Inner {
-    writer: BufWriter<File>,
+    writer: File,
     seen: HashSet<String>,
+    cursor: CacheCursor,
+}
+
+impl Inner {
+    /// Writes one record line through to the file, then marks its key
+    /// seen, so a failed write leaves the record to be retried.
+    fn append(&mut self, key: &DesignPointKey, geometry: &OrgGeometry) -> io::Result<()> {
+        let mut line = render_record(key, geometry);
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
+        self.seen.insert(key.canonical().to_string());
+        Ok(())
+    }
 }
 
 /// An append-only on-disk log of solved organization geometries.
@@ -79,7 +95,8 @@ impl GeometryStore {
     /// Opens (creating if absent) the store at `path` and scans any
     /// existing current-epoch records into the dedup set so restarts
     /// append only genuinely new geometries. Stale-epoch records stay
-    /// out of the set: a rebuilt model re-records its keys fresh.
+    /// out of the set: a rebuilt model re-records its keys fresh. A path
+    /// that is not a regular file (a device) has no records to scan.
     ///
     /// # Errors
     ///
@@ -88,7 +105,7 @@ impl GeometryStore {
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let mut seen = HashSet::new();
-        if let Ok(file) = File::open(&path) {
+        if let Some(file) = open_regular(&path) {
             for line in BufReader::new(file).lines() {
                 let Ok(line) = line else { break };
                 if let Some(record) = parse_record(&line) {
@@ -96,10 +113,14 @@ impl GeometryStore {
                 }
             }
         }
-        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
+        let writer = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
             path,
-            inner: Mutex::new(Inner { writer, seen }),
+            inner: Mutex::new(Inner {
+                writer,
+                seen,
+                cursor: CacheCursor::START,
+            }),
         })
     }
 
@@ -122,9 +143,9 @@ impl GeometryStore {
     }
 
     /// Appends one solved geometry if its key is not already on disk
-    /// under the current epoch; flushes before returning so a crash
-    /// after `record` never loses the line. Returns whether a record
-    /// was written.
+    /// under the current epoch; the whole line reaches the file before
+    /// returning, so a crash after `record` never loses it. Returns
+    /// whether a record was written.
     ///
     /// # Errors
     ///
@@ -134,28 +155,35 @@ impl GeometryStore {
         if inner.seen.contains(key.canonical()) {
             return Ok(false);
         }
-        let line = render_record(key, geometry);
-        inner.writer.write_all(line.as_bytes())?;
-        inner.writer.write_all(b"\n")?;
-        inner.writer.flush()?;
-        inner.seen.insert(key.canonical().to_string());
+        inner.append(key, geometry)?;
         Ok(true)
     }
 
     /// Appends every geometry the explorer's geometry cache holds that
-    /// is not yet on disk. Called after each completed sweep or
-    /// request; returns how many new records landed.
+    /// is not yet on disk, in canonical key order. Called after each
+    /// completed sweep or request; returns how many new records landed.
+    ///
+    /// Only geometries published since the last successful sync are
+    /// visited (see [`coldtall_core::GeometryCache::entries_since`]);
+    /// the first sync, and any sync against a different explorer than
+    /// the last one, walks the whole cache.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error from an append.
+    /// Returns the first I/O error from an append. The cursor then
+    /// stays where it was, so the next sync retries every unwritten
+    /// geometry.
     pub fn sync_from(&self, explorer: &Explorer) -> io::Result<u64> {
+        let mut inner = self.inner.lock().expect("geometry store lock poisoned");
+        let (entries, cursor) = explorer.geometry_cache().entries_since(inner.cursor);
         let mut appended = 0;
-        for (key, geometry) in explorer.geometry_cache().snapshot() {
-            if self.record(&key, &geometry)? {
+        for (key, geometry) in entries {
+            if !inner.seen.contains(key.canonical()) {
+                inner.append(&key, &geometry)?;
                 appended += 1;
             }
         }
+        inner.cursor = cursor;
         Ok(appended)
     }
 

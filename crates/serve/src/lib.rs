@@ -42,4 +42,4 @@ pub use geomstore::{warm_file, GeometryStore, WarmStats, GEOM_SCHEMA_VERSION};
 pub use pipe::PipeSafeWriter;
 pub use proto::{parse_request, render_parse_error, render_response, ParsedRequest};
 pub use registry::{replay_file, ReplayStats, RunRegistry, SCHEMA_VERSION};
-pub use server::{ServeOptions, Server};
+pub use server::{ServeOptions, Server, MAX_REQUEST_BYTES};

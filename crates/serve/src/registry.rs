@@ -22,12 +22,12 @@
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use coldtall_array::{ArrayCharacterization, Organization};
-use coldtall_core::{DesignPointKey, Explorer};
+use coldtall_core::{CacheCursor, DesignPointKey, Explorer};
 use coldtall_obs::json::{self, Value};
 use coldtall_units::{Joules, Seconds, SquareMeters, Watts};
 
@@ -52,11 +52,29 @@ pub struct ReplayStats {
     pub skipped: u64,
 }
 
-/// Internal mutable state: the append handle and the dedup set.
+/// Internal mutable state: the append handle, the dedup set and the
+/// sync cursor.
 struct Inner {
-    writer: BufWriter<File>,
+    writer: File,
     /// `(plan_hash, canonical key)` pairs already on disk.
     seen: HashSet<(u64, String)>,
+    /// How far into an explorer's cache [`RunRegistry::sync_from`] has
+    /// persisted everything, and under which plan. Entries up to the
+    /// cursor are in `seen` under `cursor_plan` only: a sync under
+    /// another plan walks from the start.
+    cursor: CacheCursor,
+    cursor_plan: u64,
+}
+
+impl Inner {
+    /// Writes one record line through to the file, then marks it seen,
+    /// so a failed write leaves the record to be retried.
+    fn append(&mut self, id: (u64, String), mut line: String) -> io::Result<()> {
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
+        self.seen.insert(id);
+        Ok(())
+    }
 }
 
 /// An append-only on-disk log of computed characterizations.
@@ -79,7 +97,8 @@ impl std::fmt::Debug for RunRegistry {
 impl RunRegistry {
     /// Opens (creating if absent) the registry at `path` and scans any
     /// existing records into the dedup set so restarts append only
-    /// genuinely new work.
+    /// genuinely new work. A path that is not a regular file (a device)
+    /// has no records to scan.
     ///
     /// # Errors
     ///
@@ -88,7 +107,7 @@ impl RunRegistry {
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let mut seen = HashSet::new();
-        if let Ok(file) = File::open(&path) {
+        if let Some(file) = open_regular(&path) {
             for line in BufReader::new(file).lines() {
                 let Ok(line) = line else { break };
                 if let Some(record) = parse_record(&line) {
@@ -96,10 +115,15 @@ impl RunRegistry {
                 }
             }
         }
-        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
+        let writer = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
             path,
-            inner: Mutex::new(Inner { writer, seen }),
+            inner: Mutex::new(Inner {
+                writer,
+                seen,
+                cursor: CacheCursor::START,
+                cursor_plan: 0,
+            }),
         })
     }
 
@@ -122,8 +146,9 @@ impl RunRegistry {
     }
 
     /// Appends one characterization if its `(plan, key)` is not already
-    /// on disk; flushes before returning so a crash after `record`
-    /// never loses the line. Returns whether a record was written.
+    /// on disk; the whole line reaches the file before returning, so a
+    /// crash after `record` never loses it. Returns whether a record
+    /// was written.
     ///
     /// # Errors
     ///
@@ -140,33 +165,49 @@ impl RunRegistry {
         if inner.seen.contains(&id) {
             return Ok(false);
         }
-        let line = render_record(plan_hash, key, backend, value);
-        inner.writer.write_all(line.as_bytes())?;
-        inner.writer.write_all(b"\n")?;
-        inner.writer.flush()?;
-        inner.seen.insert(id);
+        inner.append(id, render_record(plan_hash, key, backend, value))?;
         Ok(true)
     }
 
     /// Appends every cached characterization the explorer holds that is
-    /// not yet on disk. Called after each completed request; returns
-    /// how many new records landed.
+    /// not yet on disk, in canonical key order. Called after each
+    /// completed request; returns how many new records landed.
+    ///
+    /// Only entries the explorer published since the last successful
+    /// sync are visited (see [`Explorer::cached_entries_since`]), so the
+    /// cost follows the request's new work, not the cache size. The
+    /// first sync, and any sync against a different explorer or under
+    /// a different `plan_hash` than the last one, walks the whole cache.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error from an append.
+    /// Returns the first I/O error from an append. The cursor then
+    /// stays where it was, so the next sync retries every unwritten
+    /// entry.
     pub fn sync_from(&self, explorer: &Explorer, plan_hash: u64) -> io::Result<u64> {
+        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let from = if inner.cursor_plan == plan_hash {
+            inner.cursor
+        } else {
+            CacheCursor::START
+        };
+        let (entries, cursor) = explorer.cached_entries_since(from);
         let mut appended = 0;
-        for (key, value) in explorer.cached_entries() {
+        for (key, value) in entries {
+            let id = (plan_hash, key.canonical().to_string());
+            if inner.seen.contains(&id) {
+                continue;
+            }
             // Every cache publish notes its routing; "unknown" is a
             // defensive fallback, not an expected value.
             let backend = explorer
                 .resolved_backend(&key)
                 .unwrap_or_else(|| "unknown".to_string());
-            if self.record(plan_hash, &key, &backend, &value)? {
-                appended += 1;
-            }
+            inner.append(id, render_record(plan_hash, &key, &backend, &value))?;
+            appended += 1;
         }
+        inner.cursor = cursor;
+        inner.cursor_plan = plan_hash;
         Ok(appended)
     }
 
@@ -215,6 +256,14 @@ pub fn replay_file(path: &Path, explorer: &Explorer) -> io::Result<ReplayStats> 
         stats.replayed += 1;
     }
     Ok(stats)
+}
+
+/// Opens `path` for the startup scan if it is a regular file. Anything
+/// else, such as a missing path or a device that reads forever, has no
+/// records to scan.
+pub(crate) fn open_regular(path: &Path) -> Option<File> {
+    let file = File::open(path).ok()?;
+    file.metadata().ok()?.is_file().then_some(file)
 }
 
 /// One decoded registry record.
@@ -409,7 +458,7 @@ mod tests {
                 skipped: 0
             }
         );
-        let cached = fresh.cached_entries();
+        let (cached, _) = fresh.cached_entries_since(CacheCursor::START);
         assert_eq!(cached.len(), 1);
         // Replay restores the routing record alongside the value.
         assert_eq!(fresh.resolved_backend(&key).as_deref(), Some("cryomem"));
@@ -453,7 +502,7 @@ mod tests {
         assert_eq!(stats.replayed, 1);
         assert_eq!(stats.duplicates, 1); // the repeated good line
         assert_eq!(stats.skipped, 5);
-        assert_eq!(fresh.cached_entries().len(), 1);
+        assert_eq!(fresh.cached_characterizations(), 1);
 
         let _ = std::fs::remove_file(&path);
     }

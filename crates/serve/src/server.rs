@@ -12,6 +12,11 @@
 //!   same [`Server::handle_line`] path, so a piped request and a TCP
 //!   request take identical code.
 //!
+//! Both frontends frame requests with one byte-oriented line reader. A
+//! line that is not UTF-8 or is longer than [`MAX_REQUEST_BYTES`] is
+//! answered with a typed `{"ok":false,...}` error and the stream goes
+//! on; a line split across a read timeout is resumed, not dropped.
+//!
 //! The shutdown gate is a `Mutex<GateState>` + condvar (a struct, not a
 //! bare integer — the workspace denies `clippy::mutex_integer`). Every
 //! request passes through it: admission refuses new work once draining
@@ -25,7 +30,7 @@
 //! [`Server::shutdown`] call); orchestrators should close the daemon's
 //! stdin rather than signal it.
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,6 +42,12 @@ use coldtall_core::{MemoryConfig, RequestHandler, SweepPlan};
 use crate::geomstore::{GeometryStore, WarmStats};
 use crate::proto;
 use crate::registry::{ReplayStats, RunRegistry};
+
+/// The longest request line either frontend accepts, in bytes before
+/// the line terminator. A longer line is discarded as it streams in
+/// (the daemon never buffers more than this per connection) and
+/// answered with a typed error.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// How the daemon should be stood up.
 #[derive(Debug, Clone)]
@@ -303,17 +314,7 @@ impl Server {
     /// [`PipeSafeWriter`](crate::PipeSafeWriter) to absorb a consumer
     /// hangup). The drain still runs on early return.
     pub fn serve_lines<R: BufRead, W: Write>(&self, input: R, output: &mut W) -> io::Result<()> {
-        let result = (|| {
-            for line in input.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                writeln!(output, "{}", self.shared.handle_line(&line))?;
-                output.flush()?;
-            }
-            Ok(())
-        })();
+        let result = serve_stream(&self.shared, input, output);
         self.shutdown();
         result
     }
@@ -400,32 +401,94 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = reader_half.set_read_timeout(Some(Duration::from_millis(50)));
     let mut writer = stream;
-    let mut reader = BufReader::new(reader_half);
-    let mut line = String::new();
+    let _ = serve_stream(shared, BufReader::new(reader_half), &mut writer);
+}
+
+/// The request loop behind both frontends: one response line per
+/// non-blank request line until EOF. A read timeout only checks for a
+/// drain; the partial line stays buffered and the read resumes.
+fn serve_stream<R: BufRead, W: Write>(shared: &Shared, input: R, output: &mut W) -> io::Result<()> {
+    let mut lines = LineReader::new(input);
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if !trimmed.is_empty() {
-                    let response = shared.handle_line(trimmed);
-                    if writer.write_all(response.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
-                        break;
-                    }
-                }
-                line.clear();
-            }
-            // A timeout just means "check the flag and keep waiting";
-            // any partial line read so far stays buffered in `line`.
+        let response = match lines.next_line() {
+            Ok(None) => return Ok(()),
+            Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+            Ok(Some(Ok(line))) => shared.handle_line(&line),
+            Ok(Some(Err(refusal))) => proto::render_parse_error(&refusal),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.draining() {
-                    break;
+                    return Ok(());
+                }
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
+        output.write_all(response.as_bytes())?;
+        output.write_all(b"\n")?;
+        output.flush()?;
+    }
+}
+
+/// Splits a byte stream into request lines of at most
+/// [`MAX_REQUEST_BYTES`], keeping partial lines across read errors.
+struct LineReader<R> {
+    input: R,
+    /// The current line so far, terminator included once read.
+    buf: Vec<u8>,
+    /// The current line outgrew the limit; its bytes are being dropped.
+    overflowed: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(input: R) -> Self {
+        Self {
+            input,
+            buf: Vec::new(),
+            overflowed: false,
+        }
+    }
+
+    /// The next line without its `\n` or `\r\n` terminator, or the
+    /// message refusing it (not UTF-8, or over the limit); `None` at
+    /// EOF. An unterminated last line still counts as a line.
+    ///
+    /// # Errors
+    ///
+    /// Passes on read errors, timeouts included. The bytes read so far
+    /// stay buffered, so the next call continues the same line.
+    fn next_line(&mut self) -> io::Result<Option<Result<String, String>>> {
+        loop {
+            // Never more than the limit plus a terminator in memory.
+            let room = (MAX_REQUEST_BYTES + 1 - self.buf.len()) as u64;
+            let read = (&mut self.input)
+                .take(room)
+                .read_until(b'\n', &mut self.buf)?;
+            let ended = self.buf.last() == Some(&b'\n');
+            if !ended && read > 0 {
+                if self.buf.len() > MAX_REQUEST_BYTES {
+                    self.overflowed = true;
+                    self.buf.clear();
+                }
+                continue;
+            }
+            if read == 0 && self.buf.is_empty() && !self.overflowed {
+                return Ok(None);
+            }
+            let mut line = std::mem::take(&mut self.buf);
+            if std::mem::take(&mut self.overflowed) {
+                return Ok(Some(Err(format!(
+                    "request line exceeds {MAX_REQUEST_BYTES} bytes"
+                ))));
+            }
+            if ended {
+                line.pop();
+                if line.last() == Some(&b'\r') {
+                    line.pop();
                 }
             }
-            Err(_) => break,
+            return Ok(Some(
+                String::from_utf8(line).map_err(|_| "request line is not valid UTF-8".to_string()),
+            ));
         }
     }
 }

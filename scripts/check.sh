@@ -47,6 +47,20 @@ cargo test -q --test search perf_smoke
 # subprocess-spawning suite.
 cargo test -q --test serve concurrent_tcp_clients_get_bit_identical_responses
 cargo test -q --test serve registry_replay_warms_a_fresh_daemon_bit_identically
+# The hostile-input gate: a non-UTF-8 line, an over-long line, a
+# character split across the read timeout and seeded random noise must
+# each get a typed error (or, when split, the right answer) over TCP
+# and stdin, and the next request on the same stream must be answered.
+cargo test -q --test serve hostile_
+# The store-sync gates: after every step of seeded random interleavings
+# (characterize, replay, sync, plan change, a second explorer), the
+# incremental registry and geometry-store sync must write the same
+# file as the full walk it replaced; a sync racing four publishing
+# threads must lose no entry to its cursor; and a failed append must
+# never advance the cursor.
+cargo test -q --test store_sync incremental_sync_matches_the_full_walk
+cargo test -q --test store_sync no_publication_is_lost_to_the_sync_cursor
+cargo test -q --test store_sync append_never_advances_the_cursor
 # The cryo-NVM gates: every study artifact (including the Δ(T)
 # STT-MRAM region study) must regenerate byte-identically to its
 # golden under results/, and the adaptive search over the cryo-STT

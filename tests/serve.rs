@@ -13,16 +13,22 @@
 //! * corrupt or truncated registry lines are counted and skipped,
 //!   never fatal;
 //! * stdin EOF drains in-flight work and exits 0 without dropping
-//!   registry records (the file ends on a complete line).
+//!   registry records (the file ends on a complete line);
+//! * hostile bytes never cost the stream: a non-UTF-8 or over-long
+//!   line gets a typed error and the next request is still answered,
+//!   a character split across a read timeout is resumed, and an
+//!   over-long line is not buffered.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::time::Duration;
 
 use coldtall::core::{Explorer, RequestHandler};
 use coldtall::obs::json::{self, Value};
-use coldtall::serve::{parse_request, render_response};
+use coldtall::serve::{parse_request, render_response, MAX_REQUEST_BYTES};
+use coldtall_rng::SmallRng;
 
 /// A running `coldtall serve` subprocess with its ready-line fields.
 struct Daemon {
@@ -85,6 +91,13 @@ impl Daemon {
         let mut response = String::new();
         self.stdout.read_line(&mut response).expect("response line");
         response.trim_end().to_string()
+    }
+
+    /// Sends raw bytes over stdin, unterminated and unchecked.
+    fn send_raw(&mut self, bytes: &[u8]) {
+        let stdin = self.stdin.as_mut().expect("stdin open");
+        stdin.write_all(bytes).expect("bytes written");
+        stdin.flush().expect("bytes flushed");
     }
 
     /// Closes stdin (the graceful-shutdown trigger) and waits for a
@@ -369,4 +382,160 @@ fn dashboard_render_writes_static_pages() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&registry);
+}
+
+/// A TCP client of `daemon` whose reads give up (and fail the test)
+/// instead of hanging if a response never comes.
+fn hostile_client(daemon: &Daemon) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(daemon.addr.as_deref().expect("daemon listens"))
+        .expect("client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout set");
+    let reader = BufReader::new(stream.try_clone().expect("stream clones"));
+    (stream, reader)
+}
+
+/// Reads one response line and parses it.
+fn read_response(reader: &mut impl BufRead) -> Value {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("response line");
+    assert!(line.ends_with('\n'), "a whole response line, got {line:?}");
+    json::parse(line.trim_end()).unwrap_or_else(|e| panic!("response is JSON ({e:?}): {line}"))
+}
+
+fn is_ok(response: &Value) -> Option<bool> {
+    match response.get("ok") {
+        Some(Value::Bool(ok)) => Some(*ok),
+        _ => None,
+    }
+}
+
+fn error_text(response: &Value) -> String {
+    match response.get("error") {
+        Some(Value::String(error)) => error.clone(),
+        other => panic!("typed error expected, got {other:?}"),
+    }
+}
+
+fn id_of(response: &Value) -> Option<&str> {
+    match response.get("id") {
+        Some(Value::String(id)) => Some(id),
+        _ => None,
+    }
+}
+
+/// The daemon's peak resident set, from `/proc` (Linux only).
+fn peak_rss_kib(daemon: &Daemon) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id())).ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn hostile_invalid_utf8_over_tcp_is_refused_and_the_connection_continues() {
+    let daemon = Daemon::start(&["--listen", "127.0.0.1:0"], &[]);
+    let (mut stream, mut reader) = hostile_client(&daemon);
+    stream.write_all(b"{\"cmd\":\"st\xffatus\"}\n").unwrap();
+    stream.write_all(b"{\"cmd\":\"status\",\"id\":\"next\"}\n").unwrap();
+    let refused = read_response(&mut reader);
+    assert_eq!(is_ok(&refused), Some(false));
+    assert!(error_text(&refused).contains("UTF-8"), "{refused:?}");
+    let answered = read_response(&mut reader);
+    assert_eq!(is_ok(&answered), Some(true), "{answered:?}");
+    assert_eq!(id_of(&answered), Some("next"));
+    drop(stream);
+    daemon.shutdown();
+}
+
+#[test]
+fn hostile_character_split_across_the_read_timeout_is_resumed() {
+    let daemon = Daemon::start(&["--listen", "127.0.0.1:0"], &[]);
+    let (mut stream, mut reader) = hostile_client(&daemon);
+    let request = "{\"cmd\":\"status\",\"id\":\"caf\u{e9}\"}\n".as_bytes();
+    // Cut inside the two-byte 'é' and pause well past the daemon's
+    // 50 ms read timeout before sending the rest.
+    let cut = request.iter().position(|&b| b == 0xc3).expect("é lead byte") + 1;
+    stream.write_all(&request[..cut]).unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(&request[cut..]).unwrap();
+    let answered = read_response(&mut reader);
+    assert_eq!(is_ok(&answered), Some(true), "{answered:?}");
+    assert_eq!(id_of(&answered), Some("caf\u{e9}"));
+    drop(stream);
+    daemon.shutdown();
+}
+
+#[test]
+fn hostile_overlong_line_is_refused_without_being_buffered() {
+    let daemon = Daemon::start(&["--listen", "127.0.0.1:0"], &[]);
+    let (mut stream, mut reader) = hostile_client(&daemon);
+    stream.write_all(b"{\"cmd\":\"status\"}\n").unwrap();
+    assert_eq!(is_ok(&read_response(&mut reader)), Some(true));
+    let before = peak_rss_kib(&daemon);
+
+    // 16x the limit with no newline, then the end of the line and a
+    // request that must still be answered.
+    let chunk = vec![b'x'; MAX_REQUEST_BYTES];
+    for _ in 0..16 {
+        stream.write_all(&chunk).unwrap();
+    }
+    stream.write_all(b"\n{\"cmd\":\"status\",\"id\":\"after\"}\n").unwrap();
+    let refused = read_response(&mut reader);
+    assert_eq!(is_ok(&refused), Some(false));
+    assert!(error_text(&refused).contains("exceeds"), "{refused:?}");
+    let answered = read_response(&mut reader);
+    assert_eq!(is_ok(&answered), Some(true), "{answered:?}");
+    assert_eq!(id_of(&answered), Some("after"));
+
+    if let (Some(before), Some(after)) = (before, peak_rss_kib(&daemon)) {
+        let grown_mib = after.saturating_sub(before) / 1024;
+        assert!(
+            grown_mib < 8,
+            "a 16 MiB line grew the daemon's peak RSS by {grown_mib} MiB"
+        );
+    }
+    drop(stream);
+    daemon.shutdown();
+}
+
+#[test]
+fn hostile_invalid_utf8_on_stdin_is_refused_and_the_daemon_continues() {
+    let mut daemon = Daemon::start(&[], &[]);
+    daemon.send_raw(b"{\"cmd\":\"st\xffatus\"}\n");
+    let mut line = String::new();
+    daemon.stdout.read_line(&mut line).expect("response line");
+    let refused = json::parse(line.trim_end()).expect("response is JSON");
+    assert_eq!(is_ok(&refused), Some(false));
+    assert!(error_text(&refused).contains("UTF-8"), "{line}");
+    let status = daemon.request(r#"{"cmd":"status"}"#);
+    assert!(status.contains("\"ok\":true"), "{status}");
+    daemon.shutdown();
+}
+
+#[test]
+fn hostile_random_byte_streams_never_stop_the_daemon() {
+    let daemon = Daemon::start(&["--listen", "127.0.0.1:0"], &[]);
+    for seed in 1..=3 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let noise: Vec<u8> = (0..64 * 1024).map(|_| rng.next_u64() as u8).collect();
+        let (mut stream, mut reader) = hostile_client(&daemon);
+        stream.write_all(&noise).unwrap();
+        stream.write_all(b"\n{\"cmd\":\"status\",\"id\":\"after-noise\"}\n").unwrap();
+        let lines = noise.iter().filter(|&&b| b == b'\n').count() + 2;
+        let mut refused = 0;
+        loop {
+            let response = read_response(&mut reader);
+            if id_of(&response) == Some("after-noise") {
+                assert_eq!(is_ok(&response), Some(true), "{response:?}");
+                break;
+            }
+            assert_eq!(is_ok(&response), Some(false), "noise is never a request");
+            refused += 1;
+            assert!(refused < lines, "seed {seed}: more responses than lines");
+        }
+        assert!(refused > 0, "seed {seed}: the noise lines were answered");
+    }
+    daemon.shutdown();
 }
