@@ -6,8 +6,8 @@ use coldtall_units::{Joules, Seconds, Watts};
 
 use crate::characterize::ArrayCharacterization;
 use crate::components::{
-    bitline, decoder, htree, leakage, refresh, sense, vertical, wordline, Ctx, DeviceCtx,
-    Geometry, NodeDevices, TempCtx,
+    bitline, decoder, htree, leakage, refresh, wordline, Ctx, DeviceCtx, Geometry, NodeDevices,
+    TempCtx,
 };
 use crate::organization::Organization;
 use crate::spec::ArraySpec;
@@ -81,40 +81,6 @@ pub(crate) fn feasible_candidates(spec: &ArraySpec) -> Vec<(Organization, Geomet
         .collect()
 }
 
-/// Read latency assembled term-for-term as
-/// [`ArrayCharacterization::from_ctx`] assembles it, computing only the
-/// read-path components. Bit-identical to the `read_latency` field of
-/// the full characterization for an equal context.
-fn read_latency(ctx: &Ctx<'_>) -> Seconds {
-    decoder::delay(ctx)
-        + wordline::delay(ctx)
-        + bitline::read_delay(ctx)
-        + sense::delay(ctx)
-        + htree::delay(ctx)
-        + vertical::delay(ctx)
-}
-
-/// Read energy assembled term-for-term as
-/// [`ArrayCharacterization::from_ctx`] assembles it (the shared-term
-/// sum there associates identically). Bit-identical to the
-/// `read_energy` field of the full characterization.
-fn read_energy(ctx: &Ctx<'_>) -> Joules {
-    decoder::energy(ctx)
-        + wordline::energy(ctx)
-        + htree::energy(ctx)
-        + vertical::energy(ctx)
-        + bitline::read_energy(ctx)
-        + sense::read_energy(ctx)
-}
-
-/// Standby power assembled as
-/// [`ArrayCharacterization::standby_power`] assembles it. Bit-identical
-/// to `leakage_power + refresh_power` of the full characterization.
-fn standby_power(ctx: &Ctx<'_>) -> Watts {
-    let refresh = refresh::profile(ctx).map_or(Watts::ZERO, |p| p.power);
-    leakage::total(ctx) + refresh
-}
-
 /// Componentwise floors over a feasible candidate list at one operating
 /// point: for each physical quantity the application model consumes,
 /// the minimum over *every* candidate organization.
@@ -122,9 +88,8 @@ fn standby_power(ctx: &Ctx<'_>) -> Watts {
 /// Whatever objective the organization search later minimizes, the
 /// chosen organization is one of the candidates, and each of its
 /// characterized fields is produced by the very component expression
-/// minimized here (the helpers above are bit-identical to the term
-/// order [`crate::ArrayCharacterization`] is built from). The floors
-/// are
+/// minimized here (the column sums are bit-identical to the term order
+/// [`crate::ArrayCharacterization`] is built from). The floors are
 /// therefore sound lower bounds on the chosen array's fields for any
 /// [`Objective`], which is what the design-space search in
 /// `coldtall-core` prunes with.
@@ -142,41 +107,6 @@ pub struct ComponentFloors {
     /// Minimum refresh busy fraction over the candidates (`0.0` for
     /// refresh-free cells).
     pub refresh_busy_fraction: f64,
-}
-
-/// Computes [`ComponentFloors`] over `candidates` at `spec`'s operating
-/// point, sharing `devices` (built for that operating point) across the
-/// scan exactly as [`search_columns`] does.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub(crate) fn component_floors(
-    spec: &ArraySpec,
-    candidates: &[(Organization, Geometry)],
-    devices: &DeviceCtx,
-) -> ComponentFloors {
-    assert!(
-        !candidates.is_empty(),
-        "no feasible organization for the given capacity"
-    );
-    let mut floors = ComponentFloors {
-        read_latency_s: f64::INFINITY,
-        read_energy_j: f64::INFINITY,
-        standby_power_w: f64::INFINITY,
-        footprint_m2: f64::INFINITY,
-        refresh_busy_fraction: f64::INFINITY,
-    };
-    for &(org, geom) in candidates {
-        let ctx = Ctx::with_parts(spec, org, geom, devices);
-        floors.read_latency_s = floors.read_latency_s.min(read_latency(&ctx).get());
-        floors.read_energy_j = floors.read_energy_j.min(read_energy(&ctx).get());
-        floors.standby_power_w = floors.standby_power_w.min(standby_power(&ctx).get());
-        floors.footprint_m2 = floors.footprint_m2.min(ctx.geom.footprint);
-        let busy = refresh::profile(&ctx).map_or(0.0, |p| p.busy_fraction);
-        floors.refresh_busy_fraction = floors.refresh_busy_fraction.min(busy);
-    }
-    floors
 }
 
 /// The solved candidate list lowered into struct-of-arrays columns: one
@@ -318,7 +248,7 @@ impl CandidateColumns {
 }
 
 /// Read latency of candidate `i` from the columns — term-for-term the
-/// sum [`read_latency`] computes from a `Ctx`.
+/// sum [`ArrayCharacterization::from_ctx`] assembles.
 ///
 /// `#[inline(always)]` so [`kernel_scores`]'s per-objective loops
 /// flatten into straight-line candidate-independent flops the
@@ -334,7 +264,7 @@ fn read_latency_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Seconds {
 }
 
 /// Read energy of candidate `i` from the columns — term-for-term the
-/// sum [`read_energy`] computes from a `Ctx`.
+/// sum [`ArrayCharacterization::from_ctx`] assembles.
 #[inline(always)]
 fn read_energy_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Joules {
     decoder::energy_raw(tc, c.levels[i])
@@ -345,11 +275,10 @@ fn read_energy_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Joules {
         + tc.sense_read_energy
 }
 
-/// Standby power of candidate `i` from the columns — assembled as
-/// [`standby_power`] assembles it from a `Ctx`.
+/// Refresh or scrub profile of candidate `i` from the columns.
 #[inline(always)]
-fn standby_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Watts {
-    let refresh = refresh::profile_raw(
+fn refresh_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Option<refresh::RefreshProfile> {
+    refresh::profile_raw(
         tc,
         c.levels[i],
         c.wl_length_m[i],
@@ -360,8 +289,53 @@ fn standby_cols(tc: &TempCtx, c: &Columns<'_>, i: usize) -> Watts {
         c.rows_total[i],
         c.rows_per_engine[i],
     )
-    .map_or(Watts::ZERO, |p| p.power);
-    leakage::total_raw(tc, c.periph_width_um[i]) + refresh
+}
+
+/// Standby power of candidate `i` given its refresh profile: leakage
+/// plus refresh power, as [`ArrayCharacterization::standby_power`]
+/// assembles it.
+#[inline(always)]
+fn standby_cols(
+    tc: &TempCtx,
+    c: &Columns<'_>,
+    i: usize,
+    refresh: Option<&refresh::RefreshProfile>,
+) -> Watts {
+    leakage::total_raw(tc, c.periph_width_um[i]) + refresh.map_or(Watts::ZERO, |p| p.power)
+}
+
+/// Computes [`ComponentFloors`] over the lowered candidate `columns`
+/// at the operating point `tc` was built for: the same column sums the
+/// organization search scores with, plus one refresh profile per
+/// candidate feeding both the standby and the busy-fraction floor.
+///
+/// # Panics
+///
+/// Panics if `columns` holds no candidate.
+pub(crate) fn component_floors(tc: &TempCtx, columns: &CandidateColumns) -> ComponentFloors {
+    assert!(
+        columns.len() > 0,
+        "no feasible organization for the given capacity"
+    );
+    let c = &columns.view();
+    let mut floors = ComponentFloors {
+        read_latency_s: f64::INFINITY,
+        read_energy_j: f64::INFINITY,
+        standby_power_w: f64::INFINITY,
+        footprint_m2: f64::INFINITY,
+        refresh_busy_fraction: f64::INFINITY,
+    };
+    for i in 0..columns.len() {
+        floors.read_latency_s = floors.read_latency_s.min(read_latency_cols(tc, c, i).get());
+        floors.read_energy_j = floors.read_energy_j.min(read_energy_cols(tc, c, i).get());
+        let refresh = refresh_cols(tc, c, i);
+        let standby = standby_cols(tc, c, i, refresh.as_ref());
+        floors.standby_power_w = floors.standby_power_w.min(standby.get());
+        floors.footprint_m2 = floors.footprint_m2.min(c.footprint[i]);
+        let busy = refresh.map_or(0.0, |p| p.busy_fraction);
+        floors.refresh_busy_fraction = floors.refresh_busy_fraction.min(busy);
+    }
+    floors
 }
 
 /// Fills `scores` with every candidate's [`Objective::score`], scanned
@@ -403,7 +377,7 @@ pub(crate) fn kernel_scores(
         Objective::Area => out.copy_from_slice(columns.footprint),
         Objective::StandbyPower => {
             for (i, slot) in out.iter_mut().enumerate() {
-                *slot = standby_cols(tc, columns, i).get();
+                *slot = standby_cols(tc, columns, i, refresh_cols(tc, columns, i).as_ref()).get();
             }
         }
     }
@@ -450,8 +424,73 @@ pub(crate) fn search_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::components::{sense, vertical};
     use coldtall_cell::{CellModel, MemoryTechnology, Tentpole};
     use coldtall_tech::ProcessNode;
+
+    // The per-candidate `Ctx` scan the column floors replaced, kept as
+    // their oracle: one full context per candidate, each field built
+    // by the same component functions `from_ctx` calls.
+
+    /// Read latency assembled term-for-term as
+    /// [`ArrayCharacterization::from_ctx`] assembles it, computing only the
+    /// read-path components. Bit-identical to the `read_latency` field of
+    /// the full characterization for an equal context.
+    fn read_latency(ctx: &Ctx<'_>) -> Seconds {
+        decoder::delay(ctx)
+            + wordline::delay(ctx)
+            + bitline::read_delay(ctx)
+            + sense::delay(ctx)
+            + htree::delay(ctx)
+            + vertical::delay(ctx)
+    }
+
+    /// Read energy assembled term-for-term as
+    /// [`ArrayCharacterization::from_ctx`] assembles it (the shared-term
+    /// sum there associates identically). Bit-identical to the
+    /// `read_energy` field of the full characterization.
+    fn read_energy(ctx: &Ctx<'_>) -> Joules {
+        decoder::energy(ctx)
+            + wordline::energy(ctx)
+            + htree::energy(ctx)
+            + vertical::energy(ctx)
+            + bitline::read_energy(ctx)
+            + sense::read_energy(ctx)
+    }
+
+    /// Standby power assembled as
+    /// [`ArrayCharacterization::standby_power`] assembles it. Bit-identical
+    /// to `leakage_power + refresh_power` of the full characterization.
+    fn standby_power(ctx: &Ctx<'_>) -> Watts {
+        let refresh = refresh::profile(ctx).map_or(Watts::ZERO, |p| p.power);
+        leakage::total(ctx) + refresh
+    }
+
+    /// [`ComponentFloors`] over `candidates` at `spec`'s operating
+    /// point, one `Ctx` per candidate.
+    fn ctx_floors(
+        spec: &ArraySpec,
+        candidates: &[(Organization, Geometry)],
+        devices: &DeviceCtx,
+    ) -> ComponentFloors {
+        let mut floors = ComponentFloors {
+            read_latency_s: f64::INFINITY,
+            read_energy_j: f64::INFINITY,
+            standby_power_w: f64::INFINITY,
+            footprint_m2: f64::INFINITY,
+            refresh_busy_fraction: f64::INFINITY,
+        };
+        for &(org, geom) in candidates {
+            let ctx = Ctx::with_parts(spec, org, geom, devices);
+            floors.read_latency_s = floors.read_latency_s.min(read_latency(&ctx).get());
+            floors.read_energy_j = floors.read_energy_j.min(read_energy(&ctx).get());
+            floors.standby_power_w = floors.standby_power_w.min(standby_power(&ctx).get());
+            floors.footprint_m2 = floors.footprint_m2.min(ctx.geom.footprint);
+            let busy = refresh::profile(&ctx).map_or(0.0, |p| p.busy_fraction);
+            floors.refresh_busy_fraction = floors.refresh_busy_fraction.min(busy);
+        }
+        floors
+    }
 
     fn spec() -> ArraySpec {
         let node = ProcessNode::ptm_22nm_hp();
@@ -492,5 +531,49 @@ mod tests {
         let s = spec().with_dies(8);
         let a = s.characterize(Objective::EnergyDelayProduct);
         assert_eq!(a.dies, 8);
+    }
+
+    #[test]
+    fn column_floors_match_the_ctx_floors_bit_for_bit() {
+        // Every geometry of the study set and the cryo-STT region (as
+        // `MemoryConfig::to_base_spec` builds them) on a 1 K grid.
+        let node = ProcessNode::ptm_22nm_hp();
+        let mut points = vec![(MemoryTechnology::Edram3T, Tentpole::Optimistic, 1)];
+        for dies in [1, 2, 4, 8] {
+            points.push((MemoryTechnology::Sram, Tentpole::Optimistic, dies));
+            for technology in MemoryTechnology::ENVM_SET {
+                for tentpole in Tentpole::BOTH {
+                    points.push((technology, tentpole, dies));
+                }
+            }
+        }
+        assert_eq!(points.len(), 29);
+        let bits = |f: ComponentFloors| {
+            [
+                f.read_latency_s,
+                f.read_energy_j,
+                f.standby_power_w,
+                f.footprint_m2,
+                f.refresh_busy_fraction,
+            ]
+            .map(f64::to_bits)
+        };
+        for (technology, tentpole, dies) in points {
+            let cell = CellModel::tentpole(technology, tentpole, &node);
+            let base = ArraySpec::llc_16mib(cell, &node).with_dies(dies);
+            let geometry = crate::OrgGeometry::solve(&base);
+            let devices = NodeDevices::new(&node);
+            for kelvin in 60..=400 {
+                let t = coldtall_units::Kelvin::new(f64::from(kelvin));
+                let spec = base.clone().at_temperature_cryo(t);
+                let dctx = DeviceCtx::with_devices(&spec, &devices);
+                assert_eq!(
+                    bits(geometry.floors_at_temperature(t)),
+                    bits(ctx_floors(&spec, geometry.candidates(), &dctx)),
+                    "{technology:?} {tentpole:?} {dies} dies at {kelvin} K"
+                );
+            }
+        }
+        assert_eq!(crate::geometry_code_epoch(), 0x1b28_982d_d057_c4aa);
     }
 }

@@ -204,7 +204,7 @@ impl OrgGeometry {
     pub fn floors_at_temperature(&self, t: Kelvin) -> ComponentFloors {
         let spec = self.spec.clone().at_temperature_cryo(t);
         let dctx = DeviceCtx::with_devices(&spec, &self.devices);
-        optimizer::component_floors(&spec, &self.candidates, &dctx)
+        optimizer::component_floors(&dctx.temp, &self.columns)
     }
 }
 

@@ -20,6 +20,7 @@
 
 use core::fmt;
 
+use coldtall_cell::Tentpole;
 use coldtall_workloads::{spec2017, Benchmark};
 
 use crate::backend::BackendRegistry;
@@ -66,20 +67,18 @@ impl DesignPointKey {
     /// The canonical key of a configuration's characterization.
     #[must_use]
     pub fn of_config(config: &MemoryConfig) -> Self {
-        // Tentpole is part of the identity only when the cell model
-        // reads it; the temperature is keyed by its exact bit pattern.
-        let tentpole = if config.technology().is_nonvolatile() {
-            config.tentpole().to_string()
-        } else {
-            "-".to_string()
-        };
-        Self::from_canonical(format!(
-            "{}|{}|d{}|t{:016x}",
-            config.technology().name(),
-            tentpole,
-            config.dies(),
-            config.temperature().get().to_bits(),
-        ))
+        // `technology|tentpole|d<dies>|t<temperature bits>`: the
+        // temperature is keyed by its exact bit pattern, as 16 lowercase
+        // hex digits.
+        let mut canonical = String::with_capacity(48);
+        push_identity(&mut canonical, config);
+        canonical.push_str("|t");
+        let bits = config.temperature().get().to_bits();
+        for shift in (0..16).rev() {
+            let nibble = (bits >> (4 * shift)) & 0xf;
+            canonical.push(char::from(HEX_DIGITS[nibble as usize]));
+        }
+        Self::from_canonical(canonical)
     }
 
     /// The temperature-stripped *geometry* key of a configuration: two
@@ -101,17 +100,10 @@ impl DesignPointKey {
     /// ```
     #[must_use]
     pub fn geometry_of(config: &MemoryConfig) -> Self {
-        let tentpole = if config.technology().is_nonvolatile() {
-            config.tentpole().to_string()
-        } else {
-            "-".to_string()
-        };
-        Self::from_canonical(format!(
-            "geom|{}|{}|d{}",
-            config.technology().name(),
-            tentpole,
-            config.dies(),
-        ))
+        let mut canonical = String::with_capacity(32);
+        canonical.push_str("geom|");
+        push_identity(&mut canonical, config);
+        Self::from_canonical(canonical)
     }
 
     /// A key for a job that is not a [`MemoryConfig`] — Monte-Carlo
@@ -151,6 +143,40 @@ impl fmt::Display for DesignPointKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.canonical)
     }
+}
+
+/// Lowercase hex digits, indexed by nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The tentpole field of a canonical key: the tentpole's display name
+/// when the cell model reads it (non-volatile technologies), `-` for
+/// the volatile cell models that ignore it.
+pub(crate) fn tentpole_token(config: &MemoryConfig) -> &'static str {
+    if !config.technology().is_nonvolatile() {
+        return "-";
+    }
+    match config.tentpole() {
+        Tentpole::Optimistic => "optimistic",
+        Tentpole::Pessimistic => "pessimistic",
+    }
+}
+
+/// Appends the temperature-free identity `technology|tentpole|d<dies>`
+/// shared by design-point and geometry keys, without going through the
+/// formatting machinery (keys are built on every cache probe).
+fn push_identity(out: &mut String, config: &MemoryConfig) {
+    out.push_str(config.technology().name());
+    out.push('|');
+    out.push_str(tentpole_token(config));
+    out.push_str("|d");
+    let dies = config.dies();
+    if dies >= 100 {
+        out.push(char::from(b'0' + dies / 100));
+    }
+    if dies >= 10 {
+        out.push(char::from(b'0' + dies / 10 % 10));
+    }
+    out.push(char::from(b'0' + dies % 10));
 }
 
 /// FNV-1a over `bytes`: deterministic across processes, cheap, and
@@ -393,17 +419,6 @@ impl ExecutionPlan {
         }
         fnv1a(text.as_bytes())
     }
-
-    /// The deduplicated job serving `key`, if the plan compiled one.
-    ///
-    /// Every configuration of a compiled plan has exactly one job under
-    /// its [`DesignPointKey::of_config`] key; the adaptive search uses
-    /// this to route a single surviving plane to the backend the plan
-    /// already resolved and validated.
-    #[must_use]
-    pub fn job_for(&self, key: &DesignPointKey) -> Option<&CharacterizationJob> {
-        self.jobs.iter().find(|job| job.key() == key)
-    }
 }
 
 #[cfg(test)]
@@ -504,6 +519,78 @@ mod tests {
         let geometry = DesignPointKey::geometry_of(&MemoryConfig::sram_77k());
         assert!(geometry.canonical().starts_with("geom|"));
         assert_ne!(geometry, DesignPointKey::of_config(&MemoryConfig::sram_77k()));
+    }
+
+    /// The `format!`-built canonical forms the keys were first defined
+    /// by, kept as the oracle for the hand-assembled ones.
+    fn formatted_keys(config: &MemoryConfig) -> (String, String) {
+        let tentpole = if config.technology().is_nonvolatile() {
+            config.tentpole().to_string()
+        } else {
+            "-".to_string()
+        };
+        (
+            format!(
+                "{}|{}|d{}|t{:016x}",
+                config.technology().name(),
+                tentpole,
+                config.dies(),
+                config.temperature().get().to_bits(),
+            ),
+            format!(
+                "geom|{}|{}|d{}",
+                config.technology().name(),
+                tentpole,
+                config.dies(),
+            ),
+        )
+    }
+
+    #[test]
+    fn keys_match_the_formatted_canonical_forms() {
+        let technologies = [
+            MemoryTechnology::Sram,
+            MemoryTechnology::Edram3T,
+            MemoryTechnology::Edram1T1C,
+            MemoryTechnology::Pcm,
+            MemoryTechnology::SttRam,
+            MemoryTechnology::Rram,
+            MemoryTechnology::SotRam,
+        ];
+        let ladder = (0..=68).map(|i| Kelvin::new(60.0 + 5.0 * f64::from(i)));
+        let temps: Vec<Kelvin> = coldtall_cryo::study_temperatures()
+            .iter()
+            .copied()
+            .chain(ladder)
+            .chain([Kelvin::LN2, Kelvin::REFERENCE, Kelvin::new(77.4)])
+            .chain([Kelvin::new(f64::MIN_POSITIVE)])
+            .collect();
+        let mut checked = 0;
+        for technology in technologies {
+            for tentpole in Tentpole::BOTH {
+                for dies in MemoryConfig::VALID_DIES {
+                    for &t in &temps {
+                        let config =
+                            MemoryConfig::envm_3d(technology, tentpole, dies).at_temperature(t);
+                        let (point, geometry) = formatted_keys(&config);
+                        assert_eq!(DesignPointKey::of_config(&config).canonical(), point);
+                        assert_eq!(DesignPointKey::geometry_of(&config).canonical(), geometry);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 7 * 2 * 4 * 69, "the grid was walked");
+    }
+
+    #[test]
+    fn study_plan_hash_is_pinned() {
+        // Run registries persist this hash with every record; a change
+        // here orphans every registry written before it.
+        let plan = SweepPlan::study()
+            .compile(&BackendRegistry::with_defaults())
+            .expect("study compiles");
+        assert_eq!(plan.stable_hash(), 0x09e4_1564_2cad_b954);
     }
 
     #[test]

@@ -67,6 +67,8 @@ use coldtall_array::ComponentFloors;
 use coldtall_cachesim::TrafficTable;
 use coldtall_obs::{Counter, Histogram, Registry};
 use coldtall_units::SquareMeters;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use crate::config::MemoryConfig;
@@ -74,7 +76,7 @@ use crate::error::Error;
 use crate::evaluate::{LlcEvaluation, REFRESH_INFEASIBLE};
 use crate::explorer::Explorer;
 use crate::pareto::{Constraints, ParetoFrontier};
-use crate::plan::{DesignPointKey, ExecutionPlan};
+use crate::plan::{tentpole_token, DesignPointKey, ExecutionPlan};
 
 /// Registry handles for the search's work-avoidance telemetry.
 ///
@@ -121,9 +123,9 @@ impl SearchMetrics {
             skipped_infeasible: registry.counter("search.points.skipped_infeasible"),
             skipped_pruned: registry.counter("search.points.skipped_pruned"),
             bounds_computed: registry.counter("search.bounds.computed"),
-            tightness_power: registry.span("search.tightness.power"),
-            tightness_latency: registry.span("search.tightness.latency"),
-            tightness_area: registry.span("search.tightness.area"),
+            tightness_power: registry.permille("search.tightness.power"),
+            tightness_latency: registry.permille("search.tightness.latency"),
+            tightness_area: registry.permille("search.tightness.area"),
         }
     }
 }
@@ -298,12 +300,7 @@ fn build_tree(leaves: &[Leaf], plan: &ExecutionPlan) -> Region {
     let config = |i: usize| &plan.configs()[leaves[i].config_index];
     let tech_groups = group_by(&all, |i| {
         let c = config(i);
-        let tentpole = if c.technology().is_nonvolatile() {
-            c.tentpole().to_string()
-        } else {
-            "-".to_string()
-        };
-        (c.technology().name(), tentpole)
+        (c.technology().name(), tentpole_token(c))
     });
     let children = tech_groups
         .into_iter()
@@ -368,20 +365,41 @@ fn exceeds_caps(corner: &[f64; 3], constraints: &Constraints) -> bool {
         || constraints.max_relative_power.is_some_and(|p| corner[0] > p)
 }
 
-/// Pops the open region minimizing `(power, latency, area, first_leaf)`
-/// — a deterministic total order (`total_cmp` plus the unique leaf
-/// index), so the expansion sequence never depends on container order.
-fn pop_best(open: &mut Vec<Region>) -> Option<Region> {
-    let best = (0..open.len()).min_by(|&a, &b| {
-        let (ra, rb) = (&open[a], &open[b]);
-        ra.corner[0]
-            .total_cmp(&rb.corner[0])
-            .then(ra.corner[1].total_cmp(&rb.corner[1]))
-            .then(ra.corner[2].total_cmp(&rb.corner[2]))
-            .then(ra.first_leaf.cmp(&rb.first_leaf))
-    })?;
-    Some(open.swap_remove(best))
+/// The best-first order of open regions: `(power, latency, area,
+/// first_leaf)` under `total_cmp`. Open regions are disjoint, so
+/// `first_leaf` is unique among them and the order is total — the
+/// expansion sequence never depends on container order.
+fn best_first(a: &Region, b: &Region) -> Ordering {
+    a.corner[0]
+        .total_cmp(&b.corner[0])
+        .then(a.corner[1].total_cmp(&b.corner[1]))
+        .then(a.corner[2].total_cmp(&b.corner[2]))
+        .then(a.first_leaf.cmp(&b.first_leaf))
 }
+
+/// An open region in the expansion heap, ordered so that the
+/// max-heap's top is the [`best_first`] minimum.
+struct Open(Region);
+
+impl Ord for Open {
+    fn cmp(&self, other: &Self) -> Ordering {
+        best_first(&other.0, &self.0)
+    }
+}
+
+impl PartialOrd for Open {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Open {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Open {}
 
 /// Records one bound-tightness sample: the ratio of the lower bound to
 /// the plane's actual minimum, in permille (1000 = exact).
@@ -424,14 +442,19 @@ pub(crate) fn run(
     // planes within a run and repeated searches on one explorer alike
     // share a single computation; geometry solves go through the
     // explorer's geometry cache, shared with the batched refinement
-    // phase.
+    // phase. Each distinct key's backend is resolved once, and every
+    // configuration routes to it by hash lookup.
+    let backend_of: HashMap<&DesignPointKey, usize> = plan
+        .jobs()
+        .iter()
+        .map(|job| (job.key(), explorer.backend_position(job.backend())))
+        .collect();
     let mut leaves: Vec<Leaf> = Vec::with_capacity(plan.configs().len());
     for (config_index, config) in plan.configs().iter().enumerate() {
         let key = DesignPointKey::of_config(config);
-        let job = plan
-            .job_for(&key)
+        let backend_index = *backend_of
+            .get(&key)
             .expect("every plan configuration has a compiled job");
-        let backend_index = explorer.backend_position(job.backend());
         let (floors, fresh) = explorer.plane_floors(&key, config);
         if fresh {
             stats.bounds_computed += 1;
@@ -453,9 +476,9 @@ pub(crate) fn run(
     // as the exhaustive path does.
     let mut frontier: ParetoFrontier = ParetoFrontier::new();
     let mut pruned: Vec<PrunedRegion> = Vec::new();
-    let mut open = vec![build_tree(&leaves, &plan)];
+    let mut open = BinaryHeap::from([Open(build_tree(&leaves, &plan))]);
     let metrics = explorer.search_metrics();
-    while let Some(region) = pop_best(&mut open) {
+    while let Some(Open(region)) = open.pop() {
         let mut prune = |region: &Region, reason: PruneReason, stats: &mut SearchStats| {
             let mut members = Vec::new();
             region.members(&mut members);
@@ -494,7 +517,7 @@ pub(crate) fn run(
         match region.kind {
             RegionKind::Internal(children) => {
                 stats.regions_expanded += 1;
-                open.extend(children);
+                open.extend(children.into_iter().map(Open));
             }
             RegionKind::Leaf(i) => {
                 let leaf = &leaves[i];
@@ -561,6 +584,58 @@ mod tests {
             outcome.stats.points_skipped > 0,
             "the study set holds a refresh-dead plane (350 K 3T-eDRAM), so the prune must fire"
         );
+    }
+
+    /// The linear-scan pop the heap replaced, kept as its oracle.
+    fn pop_best_linear(open: &mut Vec<Region>) -> Option<Region> {
+        let best = (0..open.len()).min_by(|&a, &b| best_first(&open[a], &open[b]))?;
+        Some(open.swap_remove(best))
+    }
+
+    #[test]
+    fn heap_pops_in_the_linear_scan_order() {
+        use coldtall_rng::SmallRng;
+        // Few distinct coordinates, so corners collide often and the
+        // order falls through to later coordinates and `first_leaf`;
+        // both zeros and infinity probe `total_cmp`'s edges.
+        let values = [0.0, -0.0, 1.0, 1.0, 2.5, f64::INFINITY, f64::NEG_INFINITY];
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let pick = |rng: &mut SmallRng| {
+                values[rng.gen_range(0..values.len() as u64) as usize]
+            };
+            let mut linear: Vec<Region> = Vec::new();
+            let mut heap: BinaryHeap<Open> = BinaryHeap::new();
+            // Open regions are disjoint, so their first leaves are
+            // distinct; a shuffled id space keeps pushes unordered.
+            let mut next_leaf = 0usize;
+            let mut popped = 0;
+            for _ in 0..2_000 {
+                if rng.gen_bool(0.55) || linear.is_empty() {
+                    let corner = [pick(&mut rng), pick(&mut rng), pick(&mut rng)];
+                    let first_leaf = (next_leaf * 7_919) % 100_003;
+                    next_leaf += 1;
+                    let region = || Region {
+                        corner,
+                        first_leaf,
+                        kind: RegionKind::Leaf(first_leaf),
+                    };
+                    linear.push(region());
+                    heap.push(Open(region()));
+                } else {
+                    let a = pop_best_linear(&mut linear).expect("non-empty");
+                    let Open(b) = heap.pop().expect("the heap holds what the list holds");
+                    assert_eq!(a.first_leaf, b.first_leaf, "seed {seed}, pop {popped}");
+                    assert_eq!(a.corner.map(f64::to_bits), b.corner.map(f64::to_bits));
+                    popped += 1;
+                }
+            }
+            while let Some(a) = pop_best_linear(&mut linear) {
+                let Open(b) = heap.pop().expect("the heap holds what the list holds");
+                assert_eq!(a.first_leaf, b.first_leaf, "seed {seed}, drain");
+            }
+            assert!(heap.is_empty());
+        }
     }
 
     #[test]

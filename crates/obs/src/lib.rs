@@ -15,7 +15,9 @@
 //!   depends on scheduling belongs here, never in a counter.
 //! * [`Histogram`] — a log₂-bucketed distribution with conserved total
 //!   count, lossless merge, and monotone p50/p95/p99 estimates; used
-//!   for span durations in nanoseconds.
+//!   for span durations in nanoseconds ([`Registry::span`]) and for
+//!   ratios in permille ([`Registry::permille`]), each exported under
+//!   its own unit.
 //! * [`Span`] — an RAII timer that records its elapsed time into a
 //!   histogram on drop.
 //! * [`Registry`] — a named collection of the above with [`Registry::render_text`]

@@ -6,8 +6,28 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::{Counter, Gauge, Histogram};
 
-/// Span-duration quantiles reported by the exporters.
-const QUANTILES: [(&str, f64); 3] = [("p50_ns", 0.50), ("p95_ns", 0.95), ("p99_ns", 0.99)];
+/// Histogram quantiles reported by the exporters.
+const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
+
+/// The unit a histogram records in, which the exporters append to
+/// every value field they print for it.
+#[derive(Debug, Clone, Copy)]
+enum Unit {
+    /// Span durations in nanoseconds.
+    Nanos,
+    /// Ratios in thousandths.
+    Permille,
+}
+
+impl Unit {
+    /// The field-name suffix the exporters print.
+    fn suffix(self) -> &'static str {
+        match self {
+            Self::Nanos => "ns",
+            Self::Permille => "permille",
+        }
+    }
+}
 
 /// A named collection of counters, gauges, and span histograms.
 ///
@@ -24,7 +44,7 @@ const QUANTILES: [(&str, f64); 3] = [("p50_ns", 0.50), ("p95_ns", 0.95), ("p99_n
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    spans: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    spans: RwLock<BTreeMap<String, (Unit, Arc<Histogram>)>>,
 }
 
 fn get_or_create<M: Default>(map: &RwLock<BTreeMap<String, Arc<M>>>, name: &str) -> Arc<M> {
@@ -64,10 +84,37 @@ impl Registry {
     }
 
     /// The span-duration histogram named `name`, created empty on first
-    /// use.
+    /// use; exported in nanoseconds.
     #[must_use]
     pub fn span(&self, name: &str) -> Arc<Histogram> {
-        get_or_create(&self.spans, name)
+        self.histogram(name, Unit::Nanos)
+    }
+
+    /// The histogram named `name` for values in permille (thousandths),
+    /// created empty on first use. It shares the span namespace and
+    /// export section, but the exporters label its fields `permille`,
+    /// not `ns`.
+    #[must_use]
+    pub fn permille(&self, name: &str) -> Arc<Histogram> {
+        self.histogram(name, Unit::Permille)
+    }
+
+    /// The histogram named `name`; a name keeps the unit it was first
+    /// registered with.
+    fn histogram(&self, name: &str, unit: Unit) -> Arc<Histogram> {
+        if let Some((_, found)) = self
+            .spans
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
+            return Arc::clone(found);
+        }
+        let mut spans = self.spans.write().unwrap_or_else(PoisonError::into_inner);
+        let (_, hist) = spans
+            .entry(name.to_string())
+            .or_insert_with(|| (unit, Arc::default()));
+        Arc::clone(hist)
     }
 
     /// The current value of a counter, if it has been registered.
@@ -148,7 +195,7 @@ impl Registry {
         {
             gauge.reset();
         }
-        for span in self
+        for (_, span) in self
             .spans
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -187,17 +234,19 @@ impl Registry {
             let _ = writeln!(out, "{name:width$}  {value}");
         }
         out.push_str("# spans\n");
-        for (name, hist) in self.spans.read().unwrap_or_else(PoisonError::into_inner).iter() {
+        let spans = self.spans.read().unwrap_or_else(PoisonError::into_inner);
+        for (name, (unit, hist)) in spans.iter() {
+            let u = unit.suffix();
             let _ = write!(
                 out,
-                "{name}  count={} mean={:.0}ns min={}ns max={}ns",
+                "{name}  count={} mean={:.0}{u} min={}{u} max={}{u}",
                 hist.count(),
                 hist.mean(),
                 hist.min(),
                 hist.max()
             );
             for (label, q) in QUANTILES {
-                let _ = write!(out, " {}={}", label.trim_end_matches("_ns"), hist.quantile(q));
+                let _ = write!(out, " {label}={}", hist.quantile(q));
             }
             out.push('\n');
         }
@@ -224,11 +273,12 @@ impl Registry {
         render_scalar_section(&mut out, &self.gauges());
         out.push_str("},\n  \"spans\": {");
         let spans = self.spans.read().unwrap_or_else(PoisonError::into_inner);
-        for (i, (name, hist)) in spans.iter().enumerate() {
+        for (i, (name, (unit, hist))) in spans.iter().enumerate() {
             let comma = if i + 1 == spans.len() { "" } else { "," };
+            let u = unit.suffix();
             let _ = write!(
                 out,
-                "\n    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"mean_ns\": {:.1}, \"min_ns\": {}, \"max_ns\": {}",
+                "\n    \"{}\": {{\"count\": {}, \"sum_{u}\": {}, \"mean_{u}\": {:.1}, \"min_{u}\": {}, \"max_{u}\": {}",
                 escape(name),
                 hist.count(),
                 hist.sum(),
@@ -237,7 +287,7 @@ impl Registry {
                 hist.max()
             );
             for (label, q) in QUANTILES {
-                let _ = write!(out, ", \"{label}\": {}", hist.quantile(q));
+                let _ = write!(out, ", \"{label}_{u}\": {}", hist.quantile(q));
             }
             let _ = write!(out, "}}{comma}");
         }
@@ -356,6 +406,35 @@ mod tests {
         };
         assert_eq!(sweep["count"], Value::Number(1.0));
         assert!(matches!(sweep["p99_ns"], Value::Number(v) if v >= 5000.0));
+    }
+
+    #[test]
+    fn permille_histograms_keep_their_unit_in_both_exports() {
+        let registry = Registry::new();
+        registry.permille("ratio").record(750);
+        registry.span("latency").record(2000);
+        // A later lookup through either method returns the same
+        // histogram with the unit it was registered with.
+        assert_eq!(registry.span("ratio").count(), 1);
+        let parsed = json::parse(&registry.render_json()).expect("export is valid JSON");
+        let Value::Object(root) = parsed else {
+            panic!("root must be an object")
+        };
+        let Value::Object(spans) = &root["spans"] else {
+            panic!("spans section")
+        };
+        let Value::Object(ratio) = &spans["ratio"] else {
+            panic!("ratio histogram")
+        };
+        assert_eq!(ratio["max_permille"], Value::Number(750.0));
+        assert!(ratio.keys().all(|k| !k.ends_with("_ns")));
+        let Value::Object(latency) = &spans["latency"] else {
+            panic!("latency span")
+        };
+        assert_eq!(latency["max_ns"], Value::Number(2000.0));
+        let text = registry.render_text();
+        assert!(text.contains("ratio  count=1 mean=750permille min=750permille max=750permille"));
+        assert!(text.contains("latency  count=1 mean=2000ns min=2000ns max=2000ns"));
     }
 
     #[test]

@@ -39,6 +39,17 @@ cargo test -q -p coldtall-serve geomstore
 # the grid holds. Counter-based, never wall-clock.
 cargo test -q --test search matches_exhaustive
 cargo test -q --test search perf_smoke
+# The search's cheap-bookkeeping oracles. They gate bit-identity, not
+# wall-clock: the heap pops regions in exactly the order of the linear
+# scan it replaced; the column-kernel floors equal the per-candidate
+# `Ctx` floors bit-for-bit on every study geometry over 60-400 K (and
+# the geometry code epoch is unchanged); and the hand-built design-point
+# keys equal the `format!` forms, with the study plan's persisted hash
+# pinned so existing run registries keep replaying.
+cargo test -q -p coldtall-core --lib heap_pops_in_the_linear_scan_order
+cargo test -q -p coldtall-array --lib column_floors_match_the_ctx_floors_bit_for_bit
+cargo test -q -p coldtall-core --lib keys_match_the_formatted_canonical_forms
+cargo test -q -p coldtall-core --lib study_plan_hash_is_pinned
 # The serve gates: the daemon on an ephemeral port must answer
 # concurrent TCP clients bit-identically to direct library calls, and a
 # registry written by a 4-thread daemon must replay into a 1-thread

@@ -13,12 +13,15 @@
 //!   telemetry),
 //! * histogram quantile estimates are monotone,
 //! * `Registry::reset` returns every metric to zero without breaking
-//!   live handles.
+//!   live handles,
+//! * the exporters label each histogram with its own unit (`ns` for
+//!   spans, `permille` for the search's bound-tightness ratios).
 
 use std::sync::{Mutex, PoisonError};
 
 use coldtall::array::Objective;
-use coldtall::core::{pool, Explorer, LlcEvaluation, MemoryConfig};
+use coldtall::core::{pool, Constraints, Explorer, LlcEvaluation, MemoryConfig};
+use coldtall::obs::json::{self, Value};
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 
@@ -253,4 +256,59 @@ fn reset_zeroes_every_counter_gauge_and_span() {
         coldtall::workloads::benchmark("namd").unwrap(),
     );
     assert_eq!(registry.counter_value("cache.hits"), Some(1));
+}
+
+/// The value fields the JSON exporter writes for a histogram in `unit`.
+fn histogram_fields(unit: &str) -> Vec<String> {
+    let mut fields = vec!["count".to_string()];
+    for field in ["sum", "mean", "min", "max", "p50", "p95", "p99"] {
+        fields.push(format!("{field}_{unit}"));
+    }
+    fields.sort();
+    fields
+}
+
+#[test]
+fn exporters_label_each_histogram_with_its_unit() {
+    let registry = Registry::new();
+    let explorer = observed_explorer(&registry);
+    let _ = par_sweep(&explorer, &small_config_set());
+    let _ = explorer
+        .search("small", &small_config_set(), &Constraints::none())
+        .expect("the small set searches");
+    let tightness = [
+        "search.tightness.power",
+        "search.tightness.latency",
+        "search.tightness.area",
+    ];
+
+    let Value::Object(root) = json::parse(&registry.render_json()).expect("valid JSON") else {
+        panic!("root must be an object")
+    };
+    let Value::Object(spans) = &root["spans"] else {
+        panic!("spans section")
+    };
+    for name in ["characterize", "evaluate", "sweep"].iter().chain(&tightness) {
+        let Value::Object(fields) = &spans[*name] else {
+            panic!("histogram '{name}' is exported")
+        };
+        let unit = if tightness.contains(name) { "permille" } else { "ns" };
+        let keys: Vec<String> = fields.keys().cloned().collect();
+        assert_eq!(keys, histogram_fields(unit), "'{name}' fields");
+    }
+
+    let text = registry.render_text();
+    for name in tightness {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{name}  ")))
+            .unwrap_or_else(|| panic!("text export lists '{name}'"));
+        assert!(line.contains("permille min="), "{line}");
+        assert!(!line.contains("ns"), "a permille histogram is not labeled ns: {line}");
+    }
+    let sweep = text
+        .lines()
+        .find(|l| l.starts_with("sweep  "))
+        .expect("text export lists the sweep span");
+    assert!(sweep.contains("ns min=") && sweep.contains("ns max="), "{sweep}");
 }

@@ -261,14 +261,24 @@ fn perf_smoke() {
         );
     }
     // The bound-tightness histograms recorded one sample per refined
-    // plane coordinate with a finite, positive actual minimum.
+    // plane coordinate with a finite, positive actual minimum, and the
+    // export labels them in permille, not in the spans' nanoseconds.
     let report = registry.render_text();
     for span in [
         "search.tightness.power",
         "search.tightness.latency",
         "search.tightness.area",
     ] {
-        assert!(report.contains(span), "telemetry must report {span}");
+        let line = report
+            .lines()
+            .find(|l| l.starts_with(&format!("{span}  ")))
+            .unwrap_or_else(|| panic!("telemetry must report {span}"));
+        assert!(
+            line.contains("permille") && !line.contains("ns"),
+            "{span} is exported in permille: {line}"
+        );
+        let hist = registry.permille(span);
+        assert!(hist.count() > 0 && hist.max() <= 1000, "{span} holds permille samples");
     }
 }
 
