@@ -17,17 +17,18 @@ use coldtall_workloads::spec2017;
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    let configs = vec![MemoryConfig::sram_350k(), MemoryConfig::edram_77k()];
+    let arena = crate::sweep(&explorer, configs, spec2017());
+    let (warm, cold) = arena.device_power_watts().split_at(arena.benchmark_count());
     let mut table = TextTable::new(&[
         "benchmark",
         "reads_per_s",
         "break_even_factor",
         "smallest_viable_plant_W",
     ]);
-    for bench in spec2017() {
-        let warm = explorer.evaluate(&MemoryConfig::sram_350k(), bench);
-        let cold = explorer.evaluate(&MemoryConfig::edram_77k(), bench);
+    for (b, bench) in spec2017().iter().enumerate() {
         // wall = device * (1 + f) <= warm  =>  f <= warm/device - 1.
-        let break_even = warm.device_power / cold.device_power - 1.0;
+        let break_even = warm[b] / cold[b] - 1.0;
         let plant = smallest_viable_plant(break_even);
         table.row_owned(vec![
             bench.name.to_string(),

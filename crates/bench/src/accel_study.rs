@@ -16,10 +16,11 @@ use coldtall_workloads::accelerator_profiles;
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
-    let configs: Vec<MemoryConfig> = MemoryConfig::study_set()
+    let configs = MemoryConfig::study_set()
         .into_iter()
         .map(|c| c.with_cooling(CoolingSystem::Embedded10W))
         .collect();
+    let arena = crate::sweep(&explorer, configs, accelerator_profiles());
     let mut table = TextTable::new(&[
         "scenario",
         "reads_per_s",
@@ -27,10 +28,9 @@ pub fn run() -> TextTable {
         "rel_power",
         "cryo_wins",
     ]);
-    for bench in accelerator_profiles() {
-        let evals: Vec<LlcEvaluation> = configs
-            .iter()
-            .map(|c| explorer.evaluate(c, &bench))
+    for (b, bench) in accelerator_profiles().iter().enumerate() {
+        let evals: Vec<LlcEvaluation> = (0..arena.config_count())
+            .map(|c| arena.row(arena.row_index(c, b)))
             .collect();
         let pick = coldtall_core::recommend(&evals, &Constraints::default())
             .expect("some configuration is always viable");

@@ -5,17 +5,17 @@
 //! stability, the retention it implies, the write-energy inflation the
 //! cryogenic switching-current rise costs, and the suite-mean relative
 //! power/latency from the exhaustive sweep. The `frontier` column
-//! marks design points the adaptive search keeps on the Pareto front —
-//! the search and the exhaustive extraction are bit-identical over
-//! this region (asserted by `tests/search.rs`), so either path
-//! regenerates the same bytes.
+//! marks design points on the power/latency/area Pareto front of that
+//! same sweep, extracted from the rows already in hand. The adaptive
+//! search over this region returns exactly that frontier (asserted by
+//! `tests/search.rs`), so it would regenerate the same bytes, but
+//! running it here would only repeat work the sweep has done.
 
 use std::collections::BTreeSet;
 
 use coldtall_cell::{CellModel, MemoryTechnology, Tentpole};
 use coldtall_core::report::{sci, TextTable};
-use coldtall_core::{Constraints, Explorer, MemoryConfig};
-use coldtall_workloads::spec2017;
+use coldtall_core::{pareto_front_arena, EvalArena, Explorer, MemoryConfig};
 
 /// One row per (tentpole, dies, temperature) point of the cryo-NVM
 /// region, in [`MemoryConfig::cryo_stt_study_set`] order.
@@ -24,24 +24,17 @@ pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
     let configs = MemoryConfig::cryo_stt_study_set();
 
-    // Exhaustive path: one batched sweep of the region under the full
-    // SPEC2017 suite, rows in config-major order.
+    // One batched sweep of the region under the full SPEC2017 suite,
+    // rows in config-major order, and the frontier over those rows.
     let plan = explorer
         .plan_sweep(&configs)
         .expect("the cryo-STT region resolves");
-    let rows = explorer.execute_par(&plan);
-    let suite = spec2017().len();
-    assert_eq!(rows.len(), configs.len() * suite);
-
-    // Adaptive path over the same region: the frontier labels mark
-    // which design points survive to the Pareto front.
-    let outcome = explorer
-        .search("cryo-STT region", &configs, &Constraints::none())
-        .expect("the cryo-STT region resolves and searches");
-    let on_frontier: BTreeSet<&str> = outcome
-        .frontier
-        .iter()
-        .map(|row| row.config_label.as_str())
+    let mut arena = EvalArena::new();
+    explorer.execute_into(&plan, &mut arena);
+    let suite = arena.benchmark_count();
+    let on_frontier: BTreeSet<String> = pareto_front_arena(&arena)
+        .into_iter()
+        .map(|row| row.config_label)
         .collect();
 
     let mut table = TextTable::new(&[
@@ -55,7 +48,12 @@ pub fn run() -> TextTable {
         "rel_latency",
         "frontier",
     ]);
-    for (config, evals) in configs.iter().zip(rows.chunks_exact(suite)) {
+    let planes = configs
+        .iter()
+        .zip(arena.config_labels())
+        .zip(arena.relative_power().chunks_exact(suite))
+        .zip(arena.relative_latency().chunks_exact(suite));
+    for (((config, label), power), latency) in planes {
         let cell = CellModel::tentpole(
             MemoryTechnology::SttRam,
             config.tentpole(),
@@ -65,8 +63,8 @@ pub fn run() -> TextTable {
         let thermal = cell
             .mtj_thermal(t)
             .expect("STT-RAM cells model an MTJ junction");
-        let rel_power = evals.iter().map(|e| e.relative_power).sum::<f64>() / suite as f64;
-        let rel_latency = evals.iter().map(|e| e.relative_latency).sum::<f64>() / suite as f64;
+        let rel_power = power.iter().sum::<f64>() / suite as f64;
+        let rel_latency = latency.iter().sum::<f64>() / suite as f64;
         table.row_owned(vec![
             match config.tentpole() {
                 Tentpole::Optimistic => "optimistic".to_string(),
@@ -79,7 +77,7 @@ pub fn run() -> TextTable {
             sci(thermal.write_energy_factor),
             sci(rel_power),
             sci(rel_latency),
-            if on_frontier.contains(config.label().as_str()) {
+            if on_frontier.contains(label) {
                 "yes".to_string()
             } else {
                 "no".to_string()

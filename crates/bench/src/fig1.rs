@@ -5,6 +5,7 @@ use coldtall_cell::MemoryTechnology;
 use coldtall_core::report::{sci, TextTable};
 use coldtall_core::{Explorer, MemoryConfig};
 use coldtall_cryo::{study_temperatures, CoolingSystem};
+use coldtall_units::Kelvin;
 use coldtall_workloads::benchmark;
 
 /// Regenerates Fig. 1: one row per (technology, temperature) with total
@@ -18,6 +19,23 @@ use coldtall_workloads::benchmark;
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
     let namd = benchmark("namd").expect("namd present");
+    let points: Vec<(MemoryTechnology, Kelvin)> =
+        [MemoryTechnology::Sram, MemoryTechnology::Edram3T]
+            .into_iter()
+            .flat_map(|tech| study_temperatures().iter().map(move |&t| (tech, t)))
+            .collect();
+    // One plane per (point, cooling tier); device power does not depend
+    // on the tier, so the first tier's plane also gives the no-cooling
+    // column.
+    let configs = points
+        .iter()
+        .flat_map(|&(tech, t)| {
+            let base = MemoryConfig::volatile_2d(tech, t);
+            CoolingSystem::ALL.map(|cooling| base.clone().with_cooling(cooling))
+        })
+        .collect();
+    let arena = crate::sweep(&explorer, configs, std::slice::from_ref(namd));
+    let reference = explorer.reference_power().get();
     let mut table = TextTable::new(&[
         "technology",
         "temp_K",
@@ -27,24 +45,16 @@ pub fn run() -> TextTable {
         "rel_power_100W",
         "rel_power_10W",
     ]);
-    for tech in [MemoryTechnology::Sram, MemoryTechnology::Edram3T] {
-        for &t in study_temperatures() {
-            let base = MemoryConfig::volatile_2d(tech, t);
-            let no_cooling = explorer
-                .evaluate(&base.clone().with_cooling(CoolingSystem::Server100kW), namd)
-                .device_power
-                / explorer.reference_power();
-            let mut cells = vec![
-                tech.name().to_string(),
-                format!("{:.0}", t.get()),
-                sci(no_cooling),
-            ];
-            for cooling in CoolingSystem::ALL {
-                let eval = explorer.evaluate(&base.clone().with_cooling(cooling), namd);
-                cells.push(sci(eval.relative_power));
-            }
-            table.row_owned(cells);
-        }
+    let tiers = CoolingSystem::ALL.len();
+    for (i, (tech, t)) in points.iter().enumerate() {
+        let planes = i * tiers..(i + 1) * tiers;
+        let mut cells = vec![
+            tech.name().to_string(),
+            format!("{:.0}", t.get()),
+            sci(arena.device_power_watts()[planes.start] / reference),
+        ];
+        cells.extend(arena.relative_power()[planes].iter().map(|&p| sci(p)));
+        table.row_owned(cells);
     }
     table
 }

@@ -17,7 +17,9 @@ use coldtall_workloads::benchmark;
 /// Panics if either benchmark is missing (they never are).
 #[must_use]
 pub fn run() -> TextTable {
+    const TECHS: [MemoryTechnology; 2] = [MemoryTechnology::Sram, MemoryTechnology::Edram3T];
     let explorer = Explorer::with_defaults();
+    let reference = explorer.reference_power().get();
     let mut table = TextTable::new(&[
         "benchmark",
         "technology",
@@ -27,17 +29,23 @@ pub fn run() -> TextTable {
     ]);
     for bench_name in ["namd", "leela"] {
         let bench = benchmark(bench_name).expect("benchmark present");
-        for tech in [MemoryTechnology::Sram, MemoryTechnology::Edram3T] {
-            let warm =
-                explorer.evaluate(&MemoryConfig::volatile_2d(tech, Kelvin::REFERENCE), bench);
-            let cold = explorer.evaluate(&MemoryConfig::volatile_2d(tech, Kelvin::LN2), bench);
-            let cold_device_rel = cold.device_power / explorer.reference_power();
+        // Planes (warm, cold) per technology.
+        let configs = TECHS
+            .iter()
+            .flat_map(|&tech| {
+                [Kelvin::REFERENCE, Kelvin::LN2].map(|t| MemoryConfig::volatile_2d(tech, t))
+            })
+            .collect();
+        let arena = crate::sweep(&explorer, configs, std::slice::from_ref(bench));
+        let power = arena.relative_power();
+        for (i, tech) in TECHS.iter().enumerate() {
+            let (warm, cold) = (2 * i, 2 * i + 1);
             table.row_owned(vec![
                 bench_name.to_string(),
                 tech.name().to_string(),
-                sci(warm.relative_power),
-                sci(cold_device_rel),
-                sci(cold.relative_power),
+                sci(power[warm]),
+                sci(arena.device_power_watts()[cold] / reference),
+                sci(power[cold]),
             ]);
         }
     }

@@ -24,6 +24,8 @@ fn configs() -> Vec<MemoryConfig> {
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    let arena = crate::sweep(&explorer, configs(), spec2017());
+    let reference = explorer.reference_power().get();
     let mut table = TextTable::new(&[
         "benchmark",
         "reads_per_s",
@@ -33,18 +35,19 @@ pub fn run() -> TextTable {
         "rel_power_cooled",
         "rel_latency",
     ]);
-    for bench in spec2017() {
-        for config in configs() {
-            let eval = explorer.evaluate(&config, bench);
-            let device_rel = eval.device_power / explorer.reference_power();
+    for (b, bench) in spec2017().iter().enumerate() {
+        let reads = sci(bench.traffic.reads_per_sec);
+        let writes = sci(bench.traffic.writes_per_sec);
+        for (c, label) in arena.config_labels().iter().enumerate() {
+            let row = arena.row_index(c, b);
             table.row_owned(vec![
                 bench.name.to_string(),
-                sci(bench.traffic.reads_per_sec),
-                sci(bench.traffic.writes_per_sec),
-                eval.config_label.clone(),
-                sci(device_rel),
-                sci(eval.relative_power),
-                sci(eval.relative_latency),
+                reads.clone(),
+                writes.clone(),
+                label.clone(),
+                sci(arena.device_power_watts()[row] / reference),
+                sci(arena.relative_power()[row]),
+                sci(arena.relative_latency()[row]),
             ]);
         }
     }

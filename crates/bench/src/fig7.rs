@@ -33,6 +33,7 @@ fn configs() -> Vec<MemoryConfig> {
 #[must_use]
 pub fn run() -> TextTable {
     let explorer = Explorer::with_defaults();
+    let arena = crate::sweep(&explorer, configs(), spec2017());
     let mut table = TextTable::new(&[
         "benchmark",
         "reads_per_s",
@@ -42,17 +43,19 @@ pub fn run() -> TextTable {
         "rel_latency",
         "lifetime_years",
     ]);
-    for bench in spec2017() {
-        for config in configs() {
-            let eval = explorer.evaluate(&config, bench);
+    for (b, bench) in spec2017().iter().enumerate() {
+        let reads = sci(bench.traffic.reads_per_sec);
+        let writes = sci(bench.traffic.writes_per_sec);
+        for (c, label) in arena.config_labels().iter().enumerate() {
+            let row = arena.row_index(c, b);
             table.row_owned(vec![
                 bench.name.to_string(),
-                sci(bench.traffic.reads_per_sec),
-                sci(bench.traffic.writes_per_sec),
-                eval.config_label.clone(),
-                sci(eval.relative_power),
-                sci(eval.relative_latency),
-                sci(eval.lifetime_years),
+                reads.clone(),
+                writes.clone(),
+                label.clone(),
+                sci(arena.relative_power()[row]),
+                sci(arena.relative_latency()[row]),
+                sci(arena.lifetime_years()[row]),
             ]);
         }
     }

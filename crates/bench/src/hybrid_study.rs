@@ -10,6 +10,9 @@ use coldtall_core::report::{sci, TextTable};
 use coldtall_core::{Explorer, HybridLlc, MemoryConfig};
 use coldtall_workloads::benchmark;
 
+/// The dense technologies the study pairs with SRAM.
+const DENSE: [MemoryTechnology; 2] = [MemoryTechnology::SttRam, MemoryTechnology::Pcm];
+
 /// One row per (workload, dense technology, fast ways 0/2/4/8), where
 /// zero fast ways denotes the pure dense configuration and 16 the pure
 /// SRAM one.
@@ -26,40 +29,43 @@ pub fn run() -> TextTable {
     ]);
     for bench_name in ["lbm", "mcf"] {
         let bench = benchmark(bench_name).expect("benchmark present");
-        for dense_tech in [MemoryTechnology::SttRam, MemoryTechnology::Pcm] {
-            let dense = MemoryConfig::envm_3d(dense_tech, Tentpole::Optimistic, 4);
-            // Pure dense end point.
-            let pure = explorer.evaluate(&dense, bench);
-            table.row_owned(vec![
-                bench_name.to_string(),
-                dense_tech.name().to_string(),
-                "0".to_string(),
-                sci(pure.relative_power),
-                sci(pure.relative_latency),
-                sci(pure.lifetime_years),
-            ]);
-            for fast_ways in [2u8, 4, 8] {
-                let hybrid = HybridLlc::new(MemoryConfig::sram_350k(), dense.clone(), fast_ways);
-                let eval = explorer.evaluate_hybrid(&hybrid, bench);
+        // The pure end points as one plan: one plane per dense
+        // technology, then pure SRAM.
+        let dense: Vec<MemoryConfig> = DENSE
+            .iter()
+            .map(|&tech| MemoryConfig::envm_3d(tech, Tentpole::Optimistic, 4))
+            .collect();
+        let mut configs = dense.clone();
+        configs.push(MemoryConfig::sram_350k());
+        let ends = crate::sweep(&explorer, configs, std::slice::from_ref(bench));
+        let end_row = |plane: usize| {
+            [
+                ends.relative_power()[plane],
+                ends.relative_latency()[plane],
+                ends.lifetime_years()[plane],
+            ]
+        };
+        for (d, (dense_tech, dense)) in DENSE.iter().zip(dense).enumerate() {
+            let mut push = |fast_ways: u8, [power, latency, lifetime]: [f64; 3]| {
                 table.row_owned(vec![
                     bench_name.to_string(),
                     dense_tech.name().to_string(),
                     fast_ways.to_string(),
-                    sci(eval.relative_power),
-                    sci(eval.relative_latency),
-                    sci(eval.lifetime_years),
+                    sci(power),
+                    sci(latency),
+                    sci(lifetime),
                 ]);
+            };
+            push(0, end_row(d));
+            for fast_ways in [2u8, 4, 8] {
+                let hybrid = HybridLlc::new(MemoryConfig::sram_350k(), dense.clone(), fast_ways);
+                let eval = explorer.evaluate_hybrid(&hybrid, bench);
+                push(
+                    fast_ways,
+                    [eval.relative_power, eval.relative_latency, eval.lifetime_years],
+                );
             }
-            // Pure SRAM end point.
-            let sram = explorer.evaluate(&MemoryConfig::sram_350k(), bench);
-            table.row_owned(vec![
-                bench_name.to_string(),
-                dense_tech.name().to_string(),
-                "16".to_string(),
-                sci(sram.relative_power),
-                sci(sram.relative_latency),
-                sci(sram.lifetime_years),
-            ]);
+            push(16, end_row(DENSE.len()));
         }
     }
     table

@@ -17,7 +17,8 @@
 //! | `table1` | CPU model parameters |
 //! | `table2` | optimal LLC per traffic band and design target |
 //!
-//! Beyond the paper's artifacts, four ablation/extension studies:
+//! Beyond the paper's artifacts, eleven ablation/extension studies and
+//! one timing harness:
 //!
 //! | binary | study |
 //! |---|---|
@@ -28,7 +29,7 @@
 //! | `ablation_voltage` | 77 K supply-voltage sweep around the cryo policy |
 //! | `ablation_tags` | the SRAM tag store's share of leakage/latency/area |
 //! | `accel_study` | the future-work accelerator scenarios at 10 W cooling |
-//! | `cryo_nvm_study` | Δ(T) STT-MRAM across 77-387 K × 1-8 dies, sweep + search |
+//! | `cryo_nvm_study` | Δ(T) STT-MRAM across 77-387 K × 1-8 dies, sweep + Pareto frontier |
 //! | `hybrid_study` | SRAM + eNVM hybrid partitions (related work II-B) |
 //! | `dynamic_temperature` | temperature as a dynamic knob (future work VI) |
 //! | `variation_study` | Monte-Carlo sampling between the tentpoles |
@@ -66,6 +67,31 @@ pub mod timing;
 pub mod variation_study;
 
 use coldtall_core::report::TextTable;
+use coldtall_core::{EvalArena, Explorer, MemoryConfig, SweepPlan};
+use coldtall_workloads::Benchmark;
+
+/// Evaluates the `configs` × `benchmarks` grid as one compiled plan
+/// through the batch kernel, on the calling thread. Rows are
+/// config-major: grid cell `(c, b)` is row `arena.row_index(c, b)`, and
+/// every row is bit-identical to [`Explorer::evaluate`] on that cell.
+///
+/// # Panics
+///
+/// Panics if some configuration does not resolve to exactly one
+/// backend (no artifact configuration does).
+pub(crate) fn sweep(
+    explorer: &Explorer,
+    configs: Vec<MemoryConfig>,
+    benchmarks: &'static [Benchmark],
+) -> EvalArena {
+    let plan = SweepPlan::new(configs)
+        .with_benchmarks(benchmarks)
+        .compile(explorer.backends())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut arena = EvalArena::new();
+    explorer.execute_into(&plan, &mut arena);
+    arena
+}
 
 /// Prints an experiment table to stdout, honouring a `--csv` argument.
 ///

@@ -560,11 +560,9 @@ impl Explorer {
     }
 
     /// Warms the characterization cache for every distinct configuration
-    /// in `configs`: compiles them into a plan and runs its job phase on
-    /// the pool, one item per geometry group, exactly as
-    /// [`Explorer::execute_par`] does. Grouping gives each geometry key
-    /// to one worker, which keeps the cache and geometry counters
-    /// deterministic under any thread count.
+    /// in `configs`: compiles them into a plan and runs its job phase in
+    /// a plain loop, one batched dispatch per geometry group, exactly as
+    /// [`Explorer::execute_into`] does.
     ///
     /// # Panics
     ///
@@ -572,8 +570,9 @@ impl Explorer {
     /// backend.
     pub fn precharacterize(&self, configs: &[MemoryConfig]) {
         let plan = self.plan_sweep(configs).unwrap_or_else(|e| panic!("{e}"));
-        let groups = self.geometry_groups(&plan);
-        let _ = pool::parallel_map_slice(&groups, |group| self.characterize_group(group));
+        for group in self.geometry_groups(&plan) {
+            self.characterize_group(&group);
+        }
     }
 
     /// Evaluates one configuration under one benchmark's traffic.

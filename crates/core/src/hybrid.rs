@@ -13,14 +13,12 @@ use coldtall_array::ArrayCharacterization;
 use coldtall_cachesim::LlcTraffic;
 use coldtall_cell::CellModel;
 use coldtall_units::{Capacity, Joules, Watts};
-use coldtall_workloads::{spec2017, Benchmark};
+use coldtall_workloads::Benchmark;
 
-use crate::batch::EvalArena;
 use crate::config::MemoryConfig;
 use crate::evaluate::{Feasibility, LlcEvaluation, RowValues};
 use crate::explorer::Explorer;
 use crate::lifetime::lifetime_years;
-use crate::pool;
 
 /// Exponent of the write-capture law: the fraction of writes the fast
 /// partition absorbs is `fast_fraction ^ WRITE_CAPTURE_EXP`. Write-hot
@@ -137,11 +135,9 @@ impl HybridLlc {
     }
 }
 
-/// The per-hybrid invariants of a sweep, computed once and reused
-/// across every benchmark (plane) of that hybrid: the
+/// The traffic-independent terms of a hybrid evaluation: the
 /// capacity-apportioned partition characterizations (the two
-/// organization searches dominate a single hybrid evaluation's cost)
-/// plus the hoisted pure-function terms the batched kernel shares —
+/// organization searches dominate a hybrid evaluation's cost) plus the
 /// label, cooling wall factor, and the two capture fractions.
 #[derive(Debug, Clone)]
 struct HybridParts {
@@ -149,20 +145,20 @@ struct HybridParts {
     dense: ArrayCharacterization,
     dense_cell: CellModel,
     dense_capacity: Capacity,
-    /// [`HybridLlc::label`], formatted once per plane.
+    /// [`HybridLlc::label`].
     label: String,
     /// The fast partition's cooling multiplier (both partitions share
     /// the die, so a cryogenic hybrid cools both).
     wall_factor: f64,
-    /// [`HybridLlc::write_capture`], one `powf` per plane.
+    /// [`HybridLlc::write_capture`].
     write_capture: f64,
-    /// [`HybridLlc::read_capture`], one `powf` per plane.
+    /// [`HybridLlc::read_capture`].
     read_capture: f64,
 }
 
 impl Explorer {
     /// Characterizes both partitions at their share of the 16 MiB
-    /// capacity and hoists the hybrid's plane-invariant terms.
+    /// capacity and computes the hybrid's traffic-independent terms.
     fn hybrid_parts(&self, hybrid: &HybridLlc) -> HybridParts {
         let total_bytes = Capacity::from_mebibytes(16).bytes();
         let fast_capacity =
@@ -204,59 +200,15 @@ impl Explorer {
     /// migration surcharge on dense-partition writes.
     #[must_use]
     pub fn evaluate_hybrid(&self, hybrid: &HybridLlc, benchmark: &Benchmark) -> LlcEvaluation {
-        self.evaluate_hybrid_parts(&self.hybrid_parts(hybrid), benchmark)
-    }
-
-    /// Evaluates every hybrid under every SPEC2017 benchmark on the
-    /// worker pool, in row-major (hybrid, benchmark) order.
-    ///
-    /// Each hybrid's partitions are characterized exactly once (in
-    /// parallel across hybrids) before the pair grid fans out, so the
-    /// sweep does two organization searches per hybrid instead of two
-    /// per (hybrid, benchmark) pair.
-    #[must_use]
-    pub fn par_sweep_hybrids(&self, hybrids: &[HybridLlc]) -> Vec<LlcEvaluation> {
-        let parts = pool::parallel_map_slice(hybrids, |hybrid| self.hybrid_parts(hybrid));
-        let benchmarks = spec2017();
-        pool::parallel_map(hybrids.len() * benchmarks.len(), |index| {
-            let (h, b) = pool::unflatten(index, benchmarks.len());
-            self.evaluate_hybrid_parts(&parts[h], &benchmarks[b])
-        })
-    }
-
-    /// Evaluates every hybrid under every SPEC2017 benchmark
-    /// sequentially into a caller-owned arena — the hybrid counterpart
-    /// of [`Explorer::execute_into`], emitting rows allocation-free
-    /// and bit-identical to [`Explorer::par_sweep_hybrids`].
-    pub fn sweep_hybrids_into(&self, hybrids: &[HybridLlc], arena: &mut EvalArena) {
-        let benchmarks = spec2017();
-        arena.begin(benchmarks);
-        let base_services: Vec<f64> = benchmarks
-            .iter()
-            .map(|b| self.hybrid_base_service(&b.traffic))
-            .collect();
-        for hybrid in hybrids {
-            let parts = self.hybrid_parts(hybrid);
-            arena.push_plane_label(parts.label.clone());
-            for (b, base_service) in base_services.iter().enumerate() {
-                let traffic = arena.traffic.get(b);
-                let (values, years) = self.hybrid_row(&parts, &traffic, *base_service);
-                arena.push_row(&values, years);
-            }
-        }
-    }
-
-    fn evaluate_hybrid_parts(&self, parts: &HybridParts, benchmark: &Benchmark) -> LlcEvaluation {
+        let parts = self.hybrid_parts(hybrid);
         let traffic = benchmark.traffic;
         let base_service = self.hybrid_base_service(&traffic);
-        let (values, years) = self.hybrid_row(parts, &traffic, base_service);
-        LlcEvaluation::from_values(parts.label.clone(), benchmark.name, traffic, &values, years)
+        let (values, years) = self.hybrid_row(&parts, &traffic, base_service);
+        LlcEvaluation::from_values(parts.label, benchmark.name, traffic, &values, years)
     }
 
-    /// The hybrid model's per-row arithmetic — the single copy of the
-    /// float expressions shared by the scalar path
-    /// ([`Explorer::evaluate_hybrid`]), the pooled sweep, and the
-    /// arena sweep, which is what keeps them bit-identical.
+    /// The hybrid model's per-row arithmetic: the single copy of the
+    /// float expressions behind [`Explorer::evaluate_hybrid`].
     fn hybrid_row(
         &self,
         parts: &HybridParts,
@@ -398,28 +350,6 @@ mod tests {
         let small = explorer.evaluate_hybrid(&hybrid(2), quiet);
         let large = explorer.evaluate_hybrid(&hybrid(8), quiet);
         assert!(large.relative_power > small.relative_power);
-    }
-
-    #[test]
-    fn hybrid_sweep_matches_pointwise_evaluation() {
-        let explorer = Explorer::with_defaults();
-        let hybrids = [hybrid(2), hybrid(8)];
-        let rows = explorer.par_sweep_hybrids(&hybrids);
-        let benchmarks = spec2017();
-        assert_eq!(rows.len(), hybrids.len() * benchmarks.len());
-        // Row-major order, values identical to the one-off path.
-        let direct = explorer.evaluate_hybrid(&hybrids[1], &benchmarks[3]);
-        assert_eq!(rows[benchmarks.len() + 3], direct);
-    }
-
-    #[test]
-    fn arena_hybrid_sweep_is_bit_identical_to_the_pooled_sweep() {
-        let explorer = Explorer::with_defaults();
-        let hybrids = [hybrid(2), hybrid(8)];
-        let mut arena = EvalArena::new();
-        explorer.sweep_hybrids_into(&hybrids, &mut arena);
-        assert_eq!(arena.rows(), hybrids.len() * spec2017().len());
-        assert_eq!(arena.to_rows(), explorer.par_sweep_hybrids(&hybrids));
     }
 
     #[test]

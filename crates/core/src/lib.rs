@@ -68,7 +68,7 @@ pub use config::MemoryConfig;
 pub use error::Error;
 pub use evaluate::{Feasibility, LlcEvaluation};
 pub use explorer::Explorer;
-pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, KeyedJobs, SweepPlan};
+pub use plan::{CharacterizationJob, DesignPointKey, ExecutionPlan, SweepPlan};
 pub use hybrid::HybridLlc;
 pub use parcache::{CacheConfig, CacheCursor, CacheMetrics, GeometryCache, ShardedCache};
 pub use pareto::{pareto_front, pareto_front_arena, recommend, Constraints, ParetoFrontier};

@@ -26,7 +26,6 @@ use coldtall_workloads::{spec2017, Benchmark};
 use crate::backend::BackendRegistry;
 use crate::config::MemoryConfig;
 use crate::error::Error;
-use crate::pool;
 
 /// Canonical identity of one characterization job.
 ///
@@ -87,7 +86,7 @@ impl DesignPointKey {
     /// technology, same tentpole where the cell model reads it, same
     /// die count, any temperature. Keys the geometry cache of the
     /// batched two-phase characterization path. Namespaced so geometry
-    /// keys can never collide with design-point or synthetic keys.
+    /// keys can never collide with design-point keys.
     ///
     /// # Examples
     ///
@@ -104,15 +103,6 @@ impl DesignPointKey {
         canonical.push_str("geom|");
         push_identity(&mut canonical, config);
         Self::from_canonical(canonical)
-    }
-
-    /// A key for a job that is not a [`MemoryConfig`] — Monte-Carlo
-    /// cell samples, ad-hoc cache entries in tests. The token is
-    /// namespaced so synthetic keys can never collide with
-    /// configuration keys.
-    #[must_use]
-    pub fn synthetic(token: &str) -> Self {
-        Self::from_canonical(format!("synthetic|{token}"))
     }
 
     /// Reconstructs a key from a previously stored canonical form — a
@@ -188,69 +178,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// An ordered job list deduplicated by [`DesignPointKey`]: the shared
-/// substrate of an [`ExecutionPlan`]'s characterization phase and the
-/// Monte-Carlo sampling fan-out.
-///
-/// Jobs keep first-appearance order, and the worker pool claims one
-/// item per *distinct* key — duplicates never reach the pool, which is
-/// what keeps cache hit/miss counters deterministic under any thread
-/// count (two workers racing the same missing key would otherwise both
-/// count a miss).
-#[derive(Debug, Clone)]
-pub struct KeyedJobs<J> {
-    entries: Vec<(DesignPointKey, J)>,
-}
-
-impl<J> KeyedJobs<J> {
-    /// Builds the job list, dropping every item whose key was already
-    /// seen (first occurrence wins). `key_fn` receives the item's
-    /// pre-dedup index alongside the item.
-    pub fn build<I>(items: I, mut key_fn: impl FnMut(usize, &J) -> DesignPointKey) -> Self
-    where
-        I: IntoIterator<Item = J>,
-    {
-        let mut seen = std::collections::HashSet::new();
-        let entries = items
-            .into_iter()
-            .enumerate()
-            .filter_map(|(index, item)| {
-                let key = key_fn(index, &item);
-                seen.insert(key.clone()).then_some((key, item))
-            })
-            .collect();
-        Self { entries }
-    }
-
-    /// Number of distinct jobs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the list holds no jobs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The deduplicated `(key, job)` entries in first-appearance order.
-    #[must_use]
-    pub fn entries(&self) -> &[(DesignPointKey, J)] {
-        &self.entries
-    }
-
-    /// Runs every job on the worker pool (one claimed pool item per
-    /// distinct key), returning results in entry order.
-    pub fn execute<T>(&self, f: impl Fn(&DesignPointKey, &J) -> T + Sync) -> Vec<T>
-    where
-        J: Sync,
-        T: Send + Sync,
-    {
-        pool::parallel_map_slice(&self.entries, |(key, job)| f(key, job))
-    }
 }
 
 /// One validated characterization job of an [`ExecutionPlan`]: a
@@ -418,6 +345,15 @@ impl ExecutionPlan {
             text.push('\n');
         }
         fnv1a(text.as_bytes())
+    }
+}
+
+/// Ad-hoc cache keys for unit tests, namespaced so they can never
+/// collide with a configuration key.
+#[cfg(test)]
+impl DesignPointKey {
+    pub(crate) fn synthetic(token: &str) -> Self {
+        Self::from_canonical(format!("synthetic|{token}"))
     }
 }
 
@@ -614,19 +550,6 @@ mod tests {
             DesignPointKey::synthetic("x").stable_hash(),
             fnv1a(b"synthetic|x")
         );
-    }
-
-    #[test]
-    fn keyed_jobs_dedup_preserving_first_appearance() {
-        let jobs = KeyedJobs::build(
-            vec!["a", "b", "a", "c", "b"],
-            |_, item| DesignPointKey::synthetic(item),
-        );
-        assert_eq!(jobs.len(), 3);
-        let order: Vec<&str> = jobs.entries().iter().map(|(_, j)| *j).collect();
-        assert_eq!(order, ["a", "b", "c"]);
-        let doubled = jobs.execute(|_, item| item.len() * 2);
-        assert_eq!(doubled, [2, 2, 2]);
     }
 
     #[test]

@@ -470,10 +470,9 @@ pub(crate) fn run(
     }
 
     // Phase 2: best-first expansion. The loop is sequential (regions
-    // pop one at a time), so every counter and the frontier itself are
-    // trivially deterministic under any pool width; the refinement
-    // kernels underneath parallelize characterization batches exactly
-    // as the exhaustive path does.
+    // pop one at a time, and each refinement runs on the calling
+    // thread), so every counter and the frontier itself are trivially
+    // deterministic under any pool width.
     let mut frontier: ParetoFrontier = ParetoFrontier::new();
     let mut pruned: Vec<PrunedRegion> = Vec::new();
     let mut open = BinaryHeap::from([Open(build_tree(&leaves, &plan))]);

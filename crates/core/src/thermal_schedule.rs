@@ -75,20 +75,6 @@ impl TemperatureSchedule {
     }
 }
 
-/// Wall power of `technology` at temperature `t` under `traffic`,
-/// including cooling.
-fn phase_power(
-    explorer: &Explorer,
-    technology: MemoryTechnology,
-    t: Kelvin,
-    traffic: LlcTraffic,
-) -> f64 {
-    let config = MemoryConfig::volatile_2d(technology, t);
-    let array = explorer.characterize(&config);
-    let device = crate::evaluate::device_power(&array, &traffic);
-    config.cooling().wall_power(device, t).get()
-}
-
 /// Plans the energy-optimal temperature schedule for a phased workload
 /// on a volatile (SRAM or 3T-eDRAM) LLC, choosing per phase among
 /// `candidates` by dynamic programming with thermal transition costs.
@@ -106,23 +92,30 @@ pub fn plan_schedule(
     assert!(!phases.is_empty(), "need at least one phase");
     assert!(!candidates.is_empty(), "need at least one temperature");
 
-    // Per-phase, per-candidate energies: warm the characterization
-    // cache (one keyed job per candidate temperature, dispatched
-    // through the backend registry) in parallel, then fan the
-    // (phase x candidate) grid out over the worker pool.
+    // Per-phase, per-candidate energies (wall power including cooling,
+    // times duration). The candidate arrays are characterized as one
+    // batch per geometry, then the small (phase x candidate) grid is
+    // filled in a plain loop on the calling thread: it is a few dozen
+    // multiply-adds, far below what a pool fan-out costs to start.
     let temp_configs: Vec<MemoryConfig> = candidates
         .iter()
         .map(|&t| MemoryConfig::volatile_2d(technology, t))
         .collect();
     explorer.precharacterize(&temp_configs);
-    let flat = crate::pool::parallel_map(phases.len() * candidates.len(), |index| {
-        let (p, c) = crate::pool::unflatten(index, candidates.len());
-        phase_power(explorer, technology, candidates[c], phases[p].traffic)
-            * phases[p].duration.get()
-    });
-    let energy: Vec<Vec<f64>> = flat
-        .chunks(candidates.len())
-        .map(<[f64]>::to_vec)
+    let arrays: Vec<_> = temp_configs.iter().map(|c| explorer.characterize(c)).collect();
+    let energy: Vec<Vec<f64>> = phases
+        .iter()
+        .map(|phase| {
+            temp_configs
+                .iter()
+                .zip(&arrays)
+                .map(|(config, array)| {
+                    let device = crate::evaluate::device_power(array, &phase.traffic);
+                    let wall = config.cooling().wall_power(device, config.temperature());
+                    wall.get() * phase.duration.get()
+                })
+                .collect()
+        })
         .collect();
 
     // DP over (phase, temperature state).

@@ -119,8 +119,8 @@ fn band(mut values: Vec<f64>) -> MetricBand {
 }
 
 /// Runs the Monte-Carlo study: `samples` synthetic cells of `technology`
-/// at `dies` stacked dies, each characterized at 350 K and normalized to
-/// the 2D SRAM baseline.
+/// at `dies` stacked dies, each characterized at 350 K (sequentially, on
+/// the calling thread) and normalized to the 2D SRAM baseline.
 ///
 /// # Panics
 ///
@@ -137,29 +137,20 @@ pub fn monte_carlo(
     let objective = Objective::EnergyDelayProduct;
     let baseline = ArraySpec::llc_16mib(CellModel::sram(&node), &node).characterize(objective);
 
-    // Sampling is sequential (one RNG stream keeps seeds meaningful);
-    // the expensive part — one organization search per sampled cell —
-    // fans out over the worker pool as a keyed job set. Sample keys are
-    // synthetic: every draw is a distinct device, so nothing dedups.
-    let cells = sample_cells(technology, samples, seed, &node);
-    let jobs = crate::plan::KeyedJobs::build(cells, |i, _| {
-        crate::plan::DesignPointKey::synthetic(&format!(
-            "mc|{}|d{dies}|s{seed}|{i}",
-            technology.name()
-        ))
-    });
-    let characterized = jobs.execute(|_, cell| {
-        let mut spec = ArraySpec::llc_16mib(cell.clone(), &node);
-        if dies > 1 {
-            spec = spec.with_dies(dies);
-        }
-        spec.characterize(objective)
-    });
+    // One RNG stream keeps seeds meaningful; every draw is a distinct
+    // device, so each sample costs one organization search. The samples
+    // run in a plain loop on the calling thread: the whole study takes
+    // a few milliseconds, less than a pool fan-out costs to start.
     let mut read_latency = Vec::with_capacity(samples);
     let mut write_latency = Vec::with_capacity(samples);
     let mut read_energy = Vec::with_capacity(samples);
     let mut area = Vec::with_capacity(samples);
-    for a in characterized {
+    for cell in sample_cells(technology, samples, seed, &node) {
+        let mut spec = ArraySpec::llc_16mib(cell, &node);
+        if dies > 1 {
+            spec = spec.with_dies(dies);
+        }
+        let a = spec.characterize(objective);
         read_latency.push(a.read_latency / baseline.read_latency);
         write_latency.push(a.write_latency / baseline.write_latency);
         read_energy.push(a.read_energy / baseline.read_energy);

@@ -79,6 +79,11 @@ cargo test -q --test store_sync append_never_advances_the_cursor
 # exhaustive sweep's frontier bit-for-bit while still skipping work.
 cargo test -q --test golden_results artifacts_match_golden_files
 cargo test -q --test search cryo_stt_region_search_matches_exhaustive
+# The single-thread artifact gate: regenerating all 19 artifacts with
+# the pool allowed 4 threads must leave the `pool.spinups` gauge where
+# it was. Counter-based, not wall-clock: it checks that no artifact
+# fans out, never how long one takes.
+cargo test -q --test artifact_threads
 cargo clippy --workspace --all-targets -- -D warnings
 # Documentation is part of the API surface: a broken intra-doc link or
 # an undocumented public item on the strict modules fails the gate.

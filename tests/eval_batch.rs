@@ -11,6 +11,9 @@
 //!   temperature grid, at any pool width, including infeasible rows
 //!   (refresh-dead, bandwidth-saturated, and the non-finite baseline
 //!   guard),
+//! * the same holds under every cooling tier, whose wall-power factor
+//!   the kernel hoists per plane, for SPEC2017 and the accelerator
+//!   profiles alike,
 //! * a reused arena allocates nothing after its first fill (column
 //!   capacities are stable across repeated sweeps),
 //! * on a warm explorer the batched path is strictly faster per row
@@ -23,11 +26,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coldtall::array::Objective;
 use coldtall::core::{evaluate_batch, pool, EvalArena, Explorer, Feasibility, MemoryConfig};
-use coldtall::cryo::study_temperatures;
+use coldtall::cryo::{study_temperatures, CoolingSystem};
 use coldtall::obs::Registry;
 use coldtall::tech::ProcessNode;
 use coldtall::units::Kelvin;
-use coldtall::workloads::{benchmark, spec2017, Benchmark};
+use coldtall::workloads::{accelerator_profiles, benchmark, spec2017, Benchmark};
 use coldtall_bench::timing::time_median_pair;
 
 /// Tests that force a pool width share the process-global override.
@@ -135,6 +138,57 @@ fn batch_is_bit_identical_to_the_scalar_oracle_at_one_thread() {
 #[test]
 fn batch_is_bit_identical_to_the_scalar_oracle_at_four_threads() {
     assert_batch_matches_scalar_oracle(4);
+}
+
+/// The cooling tier changes only the hoisted per-plane wall factor, so
+/// the batch kernel must match the scalar oracle bit-for-bit under
+/// every tier, not just the default one: the expanded study grid under
+/// each [`CoolingSystem::ALL`] tier, for SPEC2017 and for the
+/// accelerator profiles (the `fig1` and `accel_study` grids).
+#[test]
+fn batch_is_bit_identical_to_the_scalar_oracle_under_every_cooling_tier() {
+    let configs: Vec<MemoryConfig> = expanded_study()
+        .into_iter()
+        .flat_map(|config| CoolingSystem::ALL.map(|tier| config.clone().with_cooling(tier)))
+        .collect();
+    let tiers = CoolingSystem::ALL.len();
+    for benchmarks in [spec2017(), accelerator_profiles()] {
+        let scalar_registry = Registry::new();
+        let scalar_explorer = observed_explorer(&scalar_registry);
+        let scalar: Vec<_> = configs
+            .iter()
+            .flat_map(|config| benchmarks.iter().map(|b| scalar_explorer.evaluate(config, b)))
+            .collect();
+
+        let registry = Registry::new();
+        let explorer = observed_explorer(&registry);
+        let plan = coldtall::core::SweepPlan::new(configs.clone())
+            .with_benchmarks(benchmarks)
+            .compile(explorer.backends())
+            .expect("study configs resolve");
+        let mut arena = EvalArena::new();
+        explorer.execute_into(&plan, &mut arena);
+
+        assert_eq!(
+            scalar,
+            arena.to_rows(),
+            "batch rows diverged from the scalar oracle under a cooling tier"
+        );
+        // The tiers are genuinely exercised: a cryogenic point pays a
+        // different wall power under each tier.
+        let cryo = configs
+            .iter()
+            .position(MemoryConfig::is_cryogenic)
+            .expect("the expanded study has cryogenic points");
+        let nb = benchmarks.len();
+        let powers: Vec<f64> = (cryo..cryo + tiers)
+            .map(|c| arena.relative_power()[c * nb])
+            .collect();
+        assert!(
+            powers.windows(2).all(|w| w[0] < w[1]),
+            "costlier cooling tiers must raise cryogenic wall power: {powers:?}"
+        );
+    }
 }
 
 /// A traffic profile intense enough to saturate every array in the

@@ -111,10 +111,9 @@ fn pool_output_order_is_deterministic() {
     pool::set_max_threads(0);
 }
 
-/// The Monte-Carlo variation study (parallel inner loop) stays
-/// deterministic per seed.
+/// The Monte-Carlo variation study stays deterministic per seed.
 #[test]
-fn parallel_monte_carlo_is_deterministic() {
+fn monte_carlo_is_deterministic() {
     use coldtall::cell::MemoryTechnology;
     let a = coldtall::core::monte_carlo(MemoryTechnology::Pcm, 4, 12, 9);
     let b = coldtall::core::monte_carlo(MemoryTechnology::Pcm, 4, 12, 9);
